@@ -1,6 +1,6 @@
 //! Micro-benchmarks for the hot paths: tokenization, document parsing +
-//! layout, candidate generation, featurization (cached vs uncached), LSTM
-//! training step, and generative-model fitting.
+//! layout, candidate generation, document content hashing, featurization
+//! (cached vs uncached), LSTM training step, and generative-model fitting.
 //!
 //! Self-contained harness (no external bench framework): each target is
 //! warmed up, then timed for a fixed number of iterations; per-iteration
@@ -11,7 +11,7 @@
 //! PRs.
 
 use fonduer_candidates::ContextScope;
-use fonduer_core::domains::electronics;
+use fonduer_core::domains::{electronics, paleo};
 use fonduer_core::{PipelineConfig, PipelineSession, StageId};
 use fonduer_datamodel::DocId;
 use fonduer_features::{FeatureShardMerger, Featurizer};
@@ -195,6 +195,29 @@ fn bench_candgen(results: &mut Vec<BenchResult>) {
     let ex = electronics::extractor(&ds, "has_collector_current", ContextScope::Document);
     bench(results, "candidates/candgen", 2, 20, || {
         ex.extract(&ds.corpus)
+    });
+
+    // Document-scope extraction over ~1.6k-word PALEO articles, where
+    // trying every start position against the dictionaries is the cost
+    // (the cross product is one candidate per article).
+    let ds = Domain::Paleo.generate(16, 13);
+    let ex = paleo::extractor(&ds, "formation_location", ContextScope::Document);
+    let n_candidates = ex.extract(&ds.corpus).len();
+    bench(results, "candidates/candgen_paleo", 2, 20, || {
+        ex.extract(&ds.corpus)
+    });
+    with_throughput(results, n_candidates);
+}
+
+fn bench_content_hash(results: &mut Vec<BenchResult>) {
+    // One PALEO article per iteration, cycling through 16: the hash every
+    // session computes for each document before its first stage runs.
+    let ds = Domain::Paleo.generate(16, 13);
+    let docs: Vec<_> = ds.corpus.iter().map(|(_, d)| d).collect();
+    let mut next = 0;
+    bench(results, "datamodel/content_hash", 32, 320, || {
+        next = (next + 1) % docs.len();
+        docs[next].content_hash()
     });
 }
 
@@ -798,6 +821,7 @@ fn main() {
     bench_parse_and_layout(&mut results);
     bench_ingest_512(&mut results);
     bench_candgen(&mut results);
+    bench_content_hash(&mut results);
     bench_featurize(&mut results);
     bench_model_step(&mut results);
     bench_tensor_kernels(&mut results);

@@ -8,9 +8,12 @@
 //! than the work it measures), `obsd/*` (the debug server's scrape path),
 //! the training-kernel rows `tensor/*` and `nn/*` (the flat SIMD kernels
 //! and the batched Bi-LSTM — the substance of the train_epoch speedup,
-//! which must not erode), and since the arena rewrite also `nlp/*` and
+//! which must not erode), since the arena rewrite also `nlp/*` and
 //! `parser/*` (the zero-copy ingest front end — the 2x parse+tokenize
-//! win must not erode either).
+//! win must not erode either), and since the first-token dictionary index
+//! and the symbol-table content hash also `candidates/*` and
+//! `datamodel/*` (document-scope matching over long articles and the
+//! per-document hash every session computes).
 //!
 //! The gate normalizes for host drift first: PR 6's baseline regeneration
 //! showed untouched rows moving +25–70% purely from CI-host slowdown.
@@ -36,7 +39,9 @@
 
 use fonduer_observe::json;
 
-const WATCH_PREFIXES: [&str; 7] = [
+const WATCH_PREFIXES: [&str; 9] = [
+    "candidates/",
+    "datamodel/",
     "features/featurize/",
     "observe/",
     "obsd/",

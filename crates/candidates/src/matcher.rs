@@ -7,7 +7,7 @@
 //! In the paper matchers are Python functions; here they are trait objects
 //! (closures wrap via [`FnMatcher`]).
 
-use fonduer_datamodel::{Document, Span};
+use fonduer_datamodel::{Document, SentenceId, Span};
 use std::collections::BTreeSet;
 
 /// Predicate deciding whether a span is a mention of some type.
@@ -19,6 +19,25 @@ pub trait Matcher: Send + Sync {
     /// not enumerate longer windows. Defaults to 1.
     fn max_tokens(&self) -> usize {
         1
+    }
+
+    /// The longest span starting at token `start` of `sentence` that this
+    /// matcher accepts, among spans of at most
+    /// [`max_tokens`](Matcher::max_tokens) tokens. [`extract_mentions`]
+    /// asks once per start position.
+    ///
+    /// The default tries each end, longest first, through
+    /// [`matches`](Matcher::matches), so a custom matcher needs only
+    /// `matches`. A matcher that can rule out a start position without
+    /// probing every span ([`DictionaryMatcher`]) overrides this; an
+    /// override must return exactly what the default would.
+    fn longest_match(&self, doc: &Document, sentence: SentenceId, start: u32) -> Option<Span> {
+        let n = doc.sentence(sentence).len();
+        let upper = (start as usize + self.max_tokens().max(1)).min(n) as u32;
+        (start + 1..=upper)
+            .rev()
+            .map(|end| Span::new(sentence, start, end))
+            .find(|&span| self.matches(doc, span))
     }
 
     /// Short matcher-kind descriptor used by provenance records
@@ -74,11 +93,26 @@ impl std::fmt::Debug for MentionType {
 
 /// Dictionary matcher: matches spans whose normalized text equals a
 /// dictionary entry (paper Example 3.3's transistor-part dictionary).
-/// Entries are normalized with the Fonduer tokenizer, so multi-word entries
-/// like `"Tyrannosaurus rex"` or `"type 2 diabetes"` match multi-token
-/// spans.
+///
+/// Entries are normalized with the Fonduer tokenizer: each token is
+/// lowercased and the tokens are joined by single spaces, so multi-word
+/// entries like `"Tyrannosaurus rex"` or `"type 2 diabetes"` match
+/// multi-token spans. A span matches when its words, each lowercased
+/// ([`str::to_lowercase`]) and joined by single spaces, equal an entry
+/// ([`Span::normalized_text`]). Extraction is greedy: the longest match at
+/// a start position wins.
+///
+/// Entries are indexed by their first token, so a start position whose
+/// lowercased first word begins no entry costs one hash probe and no
+/// allocation; only the entries sharing that first token's bucket are
+/// compared against the following words.
 pub struct DictionaryMatcher {
-    entries: BTreeSet<String>,
+    /// Normalized entries, sorted and deduplicated.
+    entries: Vec<String>,
+    /// Entries bucketed by the hash of their first token, as
+    /// `(first-token hash, index into entries)`, longest first within a
+    /// bucket. The bucket count is a power of two.
+    buckets: Vec<Vec<(u64, u32)>>,
     max_tokens: usize,
 }
 
@@ -106,8 +140,19 @@ impl DictionaryMatcher {
                 set.insert(norm);
             }
         }
+        let entries: Vec<String> = set.into_iter().collect();
+        let mut buckets = vec![Vec::new(); (2 * entries.len()).next_power_of_two()];
+        let mask = buckets.len() as u64 - 1;
+        for (i, e) in entries.iter().enumerate() {
+            let h = first_token_hash(e);
+            buckets[(h & mask) as usize].push((h, i as u32));
+        }
+        for bucket in &mut buckets {
+            bucket.sort_by_key(|&(_, i)| std::cmp::Reverse(entries[i as usize].len()));
+        }
         Self {
-            entries: set,
+            entries,
+            buckets,
             max_tokens,
         }
     }
@@ -121,11 +166,87 @@ impl DictionaryMatcher {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
+
+    /// The entries a span starting with `first_word` could equal, longest
+    /// first. Only a non-ASCII word allocates (to lowercase it).
+    fn entries_starting(&self, first_word: &str) -> impl Iterator<Item = &str> {
+        let h = if first_word.is_ascii() {
+            first_token_hash(first_word)
+        } else {
+            first_token_hash(&first_word.to_lowercase())
+        };
+        self.buckets[(h & (self.buckets.len() as u64 - 1)) as usize]
+            .iter()
+            .filter(move |&&(eh, _)| eh == h)
+            .map(|&(_, i)| self.entries[i as usize].as_str())
+    }
+}
+
+/// FNV-1a of `text` up to its first space, with ASCII letters lowercased.
+/// A span's normalized text begins with its lowercased first word, so its
+/// first token is that word up to its first space; for an entry (already
+/// lowercase) this is the hash of its first token.
+fn first_token_hash(text: &str) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in text.bytes().take_while(|&b| b != b' ') {
+        h = (h ^ u64::from(b.to_ascii_lowercase())).wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
+
+/// How many of `words` it takes to spell `entry`: the `n` for which the
+/// first `n` words, each lowercased and joined by single spaces, equal
+/// `entry`. At most one `n` can, since each extra word lengthens the text.
+fn spelled_by<'w>(entry: &str, words: impl Iterator<Item = &'w str>) -> Option<usize> {
+    let mut rest = entry;
+    for (i, word) in words.enumerate() {
+        if i > 0 {
+            rest = rest.strip_prefix(' ')?;
+        }
+        rest = strip_lowercased(rest, word)?;
+        if rest.is_empty() {
+            return Some(i + 1);
+        }
+    }
+    None
+}
+
+/// `rest` without its prefix `word.to_lowercase()`, if it has that prefix.
+/// ASCII words are compared in place.
+fn strip_lowercased<'a>(rest: &'a str, word: &str) -> Option<&'a str> {
+    if word.is_ascii() {
+        let head = rest.get(..word.len())?;
+        word.bytes()
+            .zip(head.bytes())
+            .all(|(w, e)| w.to_ascii_lowercase() == e)
+            .then(|| &rest[word.len()..])
+    } else {
+        rest.strip_prefix(word.to_lowercase().as_str())
+    }
 }
 
 impl Matcher for DictionaryMatcher {
     fn matches(&self, doc: &Document, span: Span) -> bool {
-        self.entries.contains(&span.normalized_text(doc))
+        let Some(first) = span.words(doc).next() else {
+            return false;
+        };
+        self.entries_starting(first)
+            .any(|e| spelled_by(e, span.words(doc)) == Some(span.len()))
+    }
+
+    fn longest_match(&self, doc: &Document, sentence: SentenceId, start: u32) -> Option<Span> {
+        let n = doc.sentence(sentence).len();
+        if start as usize >= n {
+            return None;
+        }
+        let upper = (start as usize + self.max_tokens).min(n) as u32;
+        let window = Span::new(sentence, start, upper);
+        let first = window.words(doc).next()?;
+        // Entries come longest first, and a longer entry takes more words to
+        // spell, so the first entry the window spells is the longest match.
+        self.entries_starting(first)
+            .find_map(|e| spelled_by(e, window.words(doc)))
+            .map(|len| Span::new(sentence, start, start + len as u32))
     }
 
     fn max_tokens(&self) -> usize {
@@ -137,8 +258,8 @@ impl Matcher for DictionaryMatcher {
     }
 
     fn fingerprint(&self) -> u64 {
-        // Entries are normalized and stored sorted (BTreeSet), so the hash
-        // is order-independent with respect to construction.
+        // Entries are normalized and stored sorted, so the hash is
+        // order-independent with respect to construction.
         let mut key = b"dictionary".to_vec();
         for e in &self.entries {
             key.push(0x1f);
@@ -264,28 +385,19 @@ impl Matcher for UnionMatcher {
 /// (the paper's "applying matchers to each leaf of the data model").
 ///
 /// Matching is greedy maximal-munch: at each start position the longest
-/// matching span wins, and overlapped shorter starts are skipped. Mentions
-/// are returned in document order.
+/// matching span wins ([`Matcher::longest_match`]), and overlapped shorter
+/// starts are skipped. Mentions are returned in document order.
 pub fn extract_mentions(doc: &Document, ty: &MentionType) -> Vec<Span> {
     let mut out = Vec::new();
-    let max_len = ty.matcher.max_tokens().max(1);
     for sid in doc.sentence_ids() {
-        let n = doc.sentence(sid).len();
-        let mut start = 0usize;
+        let n = doc.sentence(sid).len() as u32;
+        let mut start = 0;
         while start < n {
-            let mut matched_end = None;
-            let upper = (start + max_len).min(n);
-            for end in (start + 1..=upper).rev() {
-                let span = Span::new(sid, start as u32, end as u32);
-                if ty.matcher.matches(doc, span) {
-                    matched_end = Some(end);
-                    break;
-                }
-            }
-            match matched_end {
-                Some(end) => {
-                    out.push(Span::new(sid, start as u32, end as u32));
-                    start = end;
+            match ty.matcher.longest_match(doc, sid, start) {
+                Some(span) => {
+                    debug_assert!(span.sentence == sid && span.start == start && span.end <= n);
+                    out.push(span);
+                    start = span.end;
                 }
                 None => start += 1,
             }

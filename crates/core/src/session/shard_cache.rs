@@ -11,13 +11,15 @@
 //!
 //! Eviction is deterministic LRU over an insertion/access tick, bounded by
 //! a capacity the session resizes to track the corpus (a few generations
-//! of shards per document). Hits, misses, and evictions are mirrored to
-//! the `fonduer-observe` counters
+//! of shards per document). A tick-ordered index makes each eviction
+//! O(log n), so a warm session whose cache is full does not scan every
+//! resident shard on each miss. Hits, misses, and evictions are mirrored
+//! to the `fonduer-observe` counters
 //! `session.shard_cache.{hit,miss,evict}` (exported by `fonduer-obsd` as
 //! `fonduer_session_shard_cache_{hit,miss,evict}_total`).
 
 use fonduer_observe as observe;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// Identity of one per-document stage shard.
@@ -40,6 +42,9 @@ struct Entry<T> {
 /// stage's per-document shard type.
 pub struct ShardCache<T> {
     map: HashMap<ShardKey, Entry<T>>,
+    /// Every resident key under its `last_used` tick; the first entry is
+    /// the least recently used.
+    lru: BTreeMap<u64, ShardKey>,
     /// Monotonic access clock; unique per get/insert, so LRU order is a
     /// total order and eviction is deterministic.
     tick: u64,
@@ -59,6 +64,7 @@ impl<T> ShardCache<T> {
         observe::counter("session.shard_cache.evict", 0);
         Self {
             map: HashMap::new(),
+            lru: BTreeMap::new(),
             tick: 0,
             capacity: capacity.max(1),
             hits: 0,
@@ -79,6 +85,8 @@ impl<T> ShardCache<T> {
         self.tick += 1;
         match self.map.get_mut(&key) {
             Some(e) => {
+                self.lru.remove(&e.last_used);
+                self.lru.insert(self.tick, key);
                 e.last_used = self.tick;
                 self.hits += 1;
                 observe::counter("session.shard_cache.hit", 1);
@@ -96,23 +104,22 @@ impl<T> ShardCache<T> {
     /// if the cache is over capacity.
     pub fn insert(&mut self, key: ShardKey, value: Arc<T>) {
         self.tick += 1;
-        self.map.insert(
-            key,
-            Entry {
-                value,
-                last_used: self.tick,
-            },
-        );
+        let entry = Entry {
+            value,
+            last_used: self.tick,
+        };
+        if let Some(old) = self.map.insert(key, entry) {
+            self.lru.remove(&old.last_used);
+        }
+        self.lru.insert(self.tick, key);
         self.evict_over_capacity();
     }
 
     fn evict_over_capacity(&mut self) {
         while self.map.len() > self.capacity {
-            let victim = self
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k)
+            let (_, victim) = self
+                .lru
+                .pop_first()
                 .expect("cache over capacity implies at least one entry");
             self.map.remove(&victim);
             self.evicts += 1;
@@ -133,6 +140,7 @@ impl<T> ShardCache<T> {
     /// Drop every shard (counters are kept).
     pub fn clear(&mut self) {
         self.map.clear();
+        self.lru.clear();
     }
 
     /// Lifetime hit count.
@@ -225,5 +233,90 @@ mod tests {
         assert!(c.get(k(3, 0)).is_some());
         c.clear();
         assert!(c.is_empty());
+    }
+
+    /// The LRU definition, kept naive: each eviction scans for the entry
+    /// with the oldest tick.
+    struct ReferenceLru {
+        entries: Vec<(ShardKey, u32, u64)>,
+        tick: u64,
+        capacity: usize,
+        evicts: u64,
+    }
+
+    impl ReferenceLru {
+        fn get(&mut self, key: ShardKey) -> Option<u32> {
+            self.tick += 1;
+            let e = self.entries.iter_mut().find(|e| e.0 == key)?;
+            e.2 = self.tick;
+            Some(e.1)
+        }
+
+        fn insert(&mut self, key: ShardKey, value: u32) {
+            self.tick += 1;
+            self.entries.retain(|e| e.0 != key);
+            self.entries.push((key, value, self.tick));
+            self.evict();
+        }
+
+        fn set_capacity(&mut self, capacity: usize) {
+            self.capacity = capacity.max(1);
+            self.evict();
+        }
+
+        fn evict(&mut self) {
+            while self.entries.len() > self.capacity {
+                let oldest = (0..self.entries.len())
+                    .min_by_key(|&i| self.entries[i].2)
+                    .unwrap();
+                self.entries.remove(oldest);
+                self.evicts += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn eviction_order_matches_a_naive_lru() {
+        for seed in 1..=8u64 {
+            let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let mut next = move |bound: u64| {
+                // xorshift64*
+                state ^= state >> 12;
+                state ^= state << 25;
+                state ^= state >> 27;
+                state.wrapping_mul(0x2545_f491_4f6c_dd1d) % bound
+            };
+            let mut cache: ShardCache<u32> = ShardCache::new(16);
+            let mut reference = ReferenceLru {
+                entries: Vec::new(),
+                tick: 0,
+                capacity: 16,
+                evicts: 0,
+            };
+            for step in 0..4000u32 {
+                let key = k(next(48), next(3));
+                match next(100) {
+                    0..=54 => assert_eq!(
+                        cache.get(key).map(|v| *v),
+                        reference.get(key),
+                        "seed {seed} step {step}: get {key:?}"
+                    ),
+                    55..=97 => {
+                        cache.insert(key, Arc::new(step));
+                        reference.insert(key, step);
+                    }
+                    _ => {
+                        let capacity = next(40) as usize;
+                        cache.set_capacity(capacity);
+                        reference.set_capacity(capacity);
+                    }
+                }
+                assert_eq!(cache.len(), reference.entries.len());
+                assert_eq!(cache.evicts(), reference.evicts);
+            }
+            for (key, value, _) in &reference.entries {
+                assert_eq!(cache.get(*key).as_deref(), Some(value));
+            }
+        }
     }
 }

@@ -366,111 +366,124 @@ impl Document {
     /// `(content_hash, stage fingerprint)` and treat an upsert that did
     /// not actually change the document as a pure cache hit.
     ///
-    /// The hash streams *resolved* logical values — token attributes are
-    /// looked up through the symbol table, never hashed as raw ids — so it
-    /// is independent of the physical memory layout: symbol intern order,
-    /// arena placement, and buffer capacities do not affect it.
+    /// The hash mixes *resolved* logical values, never raw symbol ids, so
+    /// it is independent of the physical memory layout: symbol intern
+    /// order, arena placement, and buffer capacities do not affect it.
+    /// Each distinct symbol string is hashed once; a token then mixes the
+    /// 64-bit hashes of its word, lemma, POS and NER symbols.
     pub fn content_hash(&self) -> u64 {
-        let mut h = Fnv::new();
+        let sym: Vec<u64> = (0..self.symbols.len() as u32)
+            .map(|id| str_hash(self.symbols.resolve(id)))
+            .collect();
+        let mut h = Mix::new();
         h.str_(&self.name);
         h.str_(self.format.label());
-        h.usize_(self.sections.len());
+        h.len(self.sections.len());
         for s in &self.sections {
             h.u32_(s.position);
-            h.usize_(s.children.len());
+            h.len(s.children.len());
             for &c in &s.children {
                 h.ctx(c);
             }
         }
-        h.usize_(self.text_blocks.len());
+        h.len(self.text_blocks.len());
         for t in &self.text_blocks {
-            h.u32_(t.parent.0);
-            h.u32_(t.position);
+            h.pair(t.parent.0, t.position);
             h.ids(&t.paragraphs);
         }
-        h.usize_(self.tables.len());
+        h.len(self.tables.len());
         for t in &self.tables {
-            h.u32_(t.parent.0);
-            h.u32_(t.position);
-            h.u32_(t.n_rows);
-            h.u32_(t.n_cols);
+            h.pair(t.parent.0, t.position);
+            h.pair(t.n_rows, t.n_cols);
             h.ids(&t.rows);
             h.ids(&t.columns);
             h.ids(&t.cells);
             h.u32_(t.caption.map_or(u32::MAX, |c| c.0));
         }
-        h.usize_(self.figures.len());
+        h.len(self.figures.len());
         for f in &self.figures {
-            h.u32_(f.parent.0);
-            h.u32_(f.position);
+            h.pair(f.parent.0, f.position);
             h.str_(&f.src);
             h.u32_(f.caption.map_or(u32::MAX, |c| c.0));
         }
-        h.usize_(self.captions.len());
+        h.len(self.captions.len());
         for c in &self.captions {
             h.ctx(c.parent);
             h.ids(&c.paragraphs);
         }
-        h.usize_(self.rows.len());
+        h.len(self.rows.len());
         for r in &self.rows {
-            h.u32_(r.table.0);
-            h.u32_(r.index);
+            h.pair(r.table.0, r.index);
             h.ids(&r.cells);
         }
-        h.usize_(self.columns.len());
+        h.len(self.columns.len());
         for c in &self.columns {
-            h.u32_(c.table.0);
-            h.u32_(c.index);
+            h.pair(c.table.0, c.index);
             h.ids(&c.cells);
         }
-        h.usize_(self.cells.len());
+        h.len(self.cells.len());
         for c in &self.cells {
             h.u32_(c.table.0);
-            h.u32_(c.row_start);
-            h.u32_(c.row_end);
-            h.u32_(c.col_start);
-            h.u32_(c.col_end);
+            h.pair(c.row_start, c.row_end);
+            h.pair(c.col_start, c.col_end);
             h.ids(&c.paragraphs);
         }
-        h.usize_(self.paragraphs.len());
+        h.len(self.paragraphs.len());
         for p in &self.paragraphs {
             h.ctx(p.parent);
             h.u32_(p.position);
             h.ids(&p.sentences);
         }
-        h.usize_(self.sentences.len());
+        h.len(self.sentences.len());
+        // Consecutive words usually share a font, and the sentences of one
+        // markup element share one `Structural`: hash each run once.
+        let mut font: (&str, u64) = ("", str_hash(""));
+        let mut structural: Option<(&std::sync::Arc<Structural>, u64)> = None;
         for s in &self.sentences {
-            h.u32_(s.parent.0);
-            h.u32_(s.abs_position);
+            h.pair(s.parent.0, s.abs_position);
             h.str_(s.text(self));
-            h.usize_(s.len());
+            h.len(s.len());
+            // Tokens and visual words mix into four independent lanes, so
+            // that consecutive multiplies need not wait on each other; the
+            // lanes fold into `h` at the end of the sentence.
+            let (mut tok_a, mut tok_b) = (Mix::new(), Mix::new());
+            let (mut vis_a, mut vis_b) = (Mix::new(), Mix::new());
             for i in s.tok_range() {
                 let (a, b) = self.tok_offsets[i];
-                h.u32_(a);
-                h.u32_(b);
-                h.str_(self.symbols.resolve(self.tok_words[i]));
-                h.str_(self.symbols.resolve(self.tok_lemmas[i]));
-                h.str_(self.symbols.resolve(self.tok_pos[i]));
-                h.str_(self.symbols.resolve(self.tok_ner[i]));
+                tok_a.pair(a, b);
+                tok_b.word(sym[self.tok_words[i] as usize]);
+                tok_a.word(sym[self.tok_lemmas[i] as usize]);
+                tok_b.word(sym[self.tok_pos[i] as usize]);
+                tok_a.word(sym[self.tok_ner[i] as usize]);
             }
             match &s.visual {
-                None => h.u8_(0),
+                None => h.word(0),
                 Some(vis) => {
-                    h.u8_(1);
-                    h.usize_(vis.len());
+                    h.word(1);
+                    h.len(vis.len());
                     for w in vis {
-                        h.u32_(u32::from(w.page));
-                        h.u32_(w.bbox.x0.to_bits());
-                        h.u32_(w.bbox.y0.to_bits());
-                        h.u32_(w.bbox.x1.to_bits());
-                        h.u32_(w.bbox.y1.to_bits());
-                        h.str_(&w.font);
-                        h.u32_(w.font_size.to_bits());
-                        h.u8_(u8::from(w.bold));
+                        vis_a.pair(
+                            u32::from(w.page) | u32::from(w.bold) << 16,
+                            w.font_size.to_bits(),
+                        );
+                        vis_b.pair(w.bbox.x0.to_bits(), w.bbox.y0.to_bits());
+                        vis_a.pair(w.bbox.x1.to_bits(), w.bbox.y1.to_bits());
+                        if !std::ptr::eq(font.0, &*w.font) && font.0 != w.font {
+                            font = (&w.font, str_hash(&w.font));
+                        }
+                        vis_b.word(font.1);
                     }
                 }
             }
-            h.structural(&s.structural);
+            for lane in [tok_a, tok_b, vis_a, vis_b] {
+                h.word(lane.0);
+            }
+            let sh = match structural {
+                Some((prev, sh)) if std::sync::Arc::ptr_eq(prev, &s.structural) => sh,
+                _ => structural_hash(&s.structural),
+            };
+            structural = Some((&s.structural, sh));
+            h.word(sh);
         }
         h.0
     }
@@ -563,52 +576,60 @@ impl Document {
     }
 }
 
-/// Streaming FNV-1a over logical document content. Every variable-length
-/// field is either length-prefixed or 0xff-terminated so that adjacent
-/// fields cannot alias each other's bytes.
-struct Fnv(u64);
+/// Word-at-a-time mixer over logical document content. Every field enters
+/// as a fixed-width 64-bit word through a 64×64→128-bit multiply whose two
+/// halves are xored together. Strings and lists are length-prefixed, so
+/// adjacent fields cannot alias each other's words.
+struct Mix(u64);
 
-impl Fnv {
+impl Mix {
     #[inline]
     fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
+        Mix(0x243f_6a88_85a3_08d3)
     }
 
     #[inline]
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    #[inline]
-    fn u8_(&mut self, v: u8) {
-        self.bytes(&[v]);
+    fn word(&mut self, w: u64) {
+        let p = u128::from(self.0 ^ w) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = p as u64 ^ (p >> 64) as u64;
     }
 
     #[inline]
     fn u32_(&mut self, v: u32) {
-        self.bytes(&v.to_le_bytes());
+        self.word(u64::from(v));
+    }
+
+    /// Two 32-bit fields in one word.
+    #[inline]
+    fn pair(&mut self, lo: u32, hi: u32) {
+        self.word(u64::from(lo) | u64::from(hi) << 32);
     }
 
     #[inline]
-    fn usize_(&mut self, v: usize) {
-        self.bytes(&(v as u64).to_le_bytes());
+    fn len(&mut self, n: usize) {
+        self.word(n as u64);
     }
 
-    /// Strings are 0xff-terminated: 0xff never occurs in UTF-8.
-    #[inline]
+    /// Length, then the bytes eight at a time (the last word zero-padded).
     fn str_(&mut self, s: &str) {
-        self.bytes(s.as_bytes());
-        self.bytes(&[0xff]);
+        self.len(s.len());
+        let mut chunks = s.as_bytes().chunks_exact(8);
+        for c in &mut chunks {
+            self.word(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+        }
+        let tail = chunks.remainder();
+        if !tail.is_empty() {
+            let mut last = [0u8; 8];
+            last[..tail.len()].copy_from_slice(tail);
+            self.word(u64::from_le_bytes(last));
+        }
     }
 
     fn opt_str(&mut self, s: &Option<String>) {
         match s {
-            None => self.u8_(0),
+            None => self.word(0),
             Some(v) => {
-                self.u8_(1);
+                self.word(1);
                 self.str_(v);
             }
         }
@@ -616,7 +637,7 @@ impl Fnv {
 
     fn ctx(&mut self, c: ContextRef) {
         let (kind, idx) = match c {
-            ContextRef::Document => (0u8, 0),
+            ContextRef::Document => (0u32, 0),
             ContextRef::Section(id) => (1, id.0),
             ContextRef::TextBlock(id) => (2, id.0),
             ContextRef::Table(id) => (3, id.0),
@@ -628,41 +649,42 @@ impl Fnv {
             ContextRef::Paragraph(id) => (9, id.0),
             ContextRef::Sentence(id) => (10, id.0),
         };
-        self.u8_(kind);
-        self.u32_(idx);
+        self.pair(kind, idx);
     }
 
     fn ids<I: Copy + Into<u32>>(&mut self, ids: &[I]) {
-        self.usize_(ids.len());
+        self.len(ids.len());
         for &id in ids {
             self.u32_(id.into());
         }
     }
+}
 
-    fn structural(&mut self, s: &Structural) {
-        self.str_(&s.tag);
-        self.usize_(s.attrs.len());
-        for (k, v) in &s.attrs {
-            self.str_(k);
-            self.str_(v);
-        }
-        self.str_(&s.parent_tag);
-        self.opt_str(&s.prev_sibling_tag);
-        self.opt_str(&s.next_sibling_tag);
-        self.u32_(s.node_pos);
-        self.usize_(s.ancestor_tags.len());
-        for t in s.ancestor_tags.iter() {
-            self.str_(t);
-        }
-        self.usize_(s.ancestor_classes.len());
-        for c in s.ancestor_classes.iter() {
-            self.str_(c);
-        }
-        self.usize_(s.ancestor_ids.len());
-        for i in s.ancestor_ids.iter() {
-            self.str_(i);
+fn str_hash(s: &str) -> u64 {
+    let mut h = Mix::new();
+    h.str_(s);
+    h.0
+}
+
+fn structural_hash(s: &Structural) -> u64 {
+    let mut h = Mix::new();
+    h.str_(&s.tag);
+    h.len(s.attrs.len());
+    for (k, v) in &s.attrs {
+        h.str_(k);
+        h.str_(v);
+    }
+    h.str_(&s.parent_tag);
+    h.opt_str(&s.prev_sibling_tag);
+    h.opt_str(&s.next_sibling_tag);
+    h.u32_(s.node_pos);
+    for path in [&s.ancestor_tags, &s.ancestor_classes, &s.ancestor_ids] {
+        h.len(path.len());
+        for t in path.iter() {
+            h.str_(t);
         }
     }
+    h.0
 }
 
 #[cfg(test)]

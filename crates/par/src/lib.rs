@@ -91,10 +91,16 @@ pub fn resolve_threads(requested: usize) -> usize {
 }
 
 /// The machine's available parallelism (1 when it cannot be probed).
+///
+/// Probed once per process: the probe reads cgroup files (tens of µs, over
+/// 100 µs on a first call), and every stage call opens a pool.
 pub fn hardware_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static HW: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *HW.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// The `FONDUER_THREADS` override, if set to a positive integer.

@@ -1,0 +1,77 @@
+//! Allocation-budget regression gate for candidate generation.
+//!
+//! Document-scope extraction of `formation_period` and
+//! `formation_location` over a fixed PALEO corpus must stay under a
+//! committed allocations-per-document-per-relation budget. A counting
+//! global allocator wraps `System`. It counts every thread of the process,
+//! so this test has an integration binary of its own (it cannot share
+//! `alloc_budget.rs`), and the corpus is generated and the extractors are
+//! built before counting starts.
+//!
+//! The budget catches per-span heap traffic in matching. A dictionary
+//! matcher that builds a lowercased `String` for each span it tries
+//! allocates once per (start position × span length), some 21–28k times
+//! per ~1.6k-word article.
+
+use fonduer::core::domains::paleo;
+use fonduer::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+
+struct CountingAlloc;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+const N_DOCS: usize = 8;
+const SEED: u64 = 13;
+
+/// Committed allocations per document per relation for document-scope
+/// extraction. What remains is the per-document output: the mention and
+/// candidate vectors and their growth. The first-token index lowercases
+/// ASCII words on the stack, so rejected start positions allocate nothing.
+const BUDGET_ALLOCS_PER_DOC: u64 = 200;
+
+#[test]
+fn document_scope_extraction_stays_under_allocation_budget() {
+    let ds = Domain::Paleo.generate(N_DOCS, SEED);
+    assert_eq!(ds.corpus.len(), N_DOCS);
+    for rel in ["formation_period", "formation_location"] {
+        let ex = paleo::extractor(&ds, rel, ContextScope::Document);
+        // Warm up lazy one-time state (counter registrations, span names).
+        let warm = ex.extract(&ds.corpus);
+        let start = ALLOCS.load(Relaxed);
+        let cands = ex.extract(&ds.corpus);
+        let per_doc = (ALLOCS.load(Relaxed) - start) / N_DOCS as u64;
+        assert_eq!(cands.candidates, warm.candidates);
+        assert!(
+            !cands.is_empty(),
+            "{rel}: no candidates; the test is vacuous"
+        );
+        eprintln!("{rel}: candgen allocations/doc = {per_doc} (budget {BUDGET_ALLOCS_PER_DOC})");
+        assert!(
+            per_doc <= BUDGET_ALLOCS_PER_DOC,
+            "extracting {rel} allocated {per_doc} times per document \
+             (budget {BUDGET_ALLOCS_PER_DOC}); per-span heap traffic has crept \
+             back into matching"
+        );
+    }
+}
