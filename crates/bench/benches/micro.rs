@@ -506,12 +506,13 @@ fn bench_session(results: &mut Vec<BenchResult>) {
 
 /// Incremental-recomputation rows over a 512-document corpus: the
 /// shard-covered walk (candidate generation → featurization → label
-/// application) cold, then warm after a single-document upsert, then the
-/// deterministic feature-shard merge in isolation. The warm walk serves
-/// 511 documents from the shard cache and recomputes exactly one, so it
-/// must beat the cold walk by at least an order of magnitude; that ratio
-/// is asserted here, next to the measurement, rather than in the
-/// `bench_smoke` gate (which never fails rows it has no baseline for).
+/// application) cold, then warm after a single-document upsert, then a
+/// one-LF edit on a warm session, then the deterministic feature-shard
+/// merge in isolation. The warm walk serves 511 documents from the shard
+/// cache and recomputes exactly one, so it must beat the cold walk by at
+/// least an order of magnitude; that ratio is asserted here, next to the
+/// measurement, rather than in the `bench_smoke` gate (which never fails
+/// rows it has no baseline for).
 /// Downstream train/infer are excluded on both sides: they are unchanged
 /// by sharding and would only dilute the measured increment.
 fn bench_incremental(results: &mut Vec<BenchResult>) {
@@ -562,6 +563,49 @@ fn bench_incremental(results: &mut Vec<BenchResult>) {
         s.recomputed_docs(),
         1,
         "a one-document upsert must recompute exactly one document"
+    );
+
+    // The LF-edit loop on a warm session at a 70% training split: each
+    // iteration swaps in a library with one LF renamed (a name the session
+    // has not seen) and re-supervises, so every training document votes
+    // that one column and reuses the other LFs' cached columns.
+    let (warmup, iters) = (2, 10);
+    let libs: Vec<Vec<LabelingFunction>> = (0..warmup + iters + 1)
+        .map(|i| {
+            let mut lib = electronics::lfs(relation);
+            let k = i % lib.len();
+            let lf = lib.remove(k);
+            let (name, modality) = (format!("{}#rev{i}", lf.name), lf.modality);
+            lib.insert(
+                k,
+                LabelingFunction::new(name, modality, move |doc, cand| lf.label(doc, cand)),
+            );
+            lib
+        })
+        .collect();
+    let dev_cfg = PipelineConfig::builder()
+        .train_frac(0.7)
+        .build()
+        .expect("bench config is valid");
+    let mut s = PipelineSession::from_parts(&ds.corpus, &ds.gold, &ex, &lfs, dev_cfg.clone())
+        .expect("valid session");
+    s.supervise().expect("prime the label shards");
+    let mut libs_left = libs.iter();
+    bench(results, "session/lf_edit_512", warmup, iters, || {
+        s.set_lfs(libs_left.next().expect("one library per iteration"));
+        s.supervise().expect("supervise").label_coverage
+    });
+    s.set_lfs(libs_left.next().expect("one library per iteration"));
+    s.supervise().expect("supervise");
+    let n_train = ds
+        .corpus
+        .iter()
+        .filter(|(_, d)| fonduer_core::pipeline::is_train_doc(&d.name, 0.7, dev_cfg.seed))
+        .count();
+    assert_eq!(
+        s.recomputed_docs(),
+        n_train,
+        "a renamed LF is voted on every training document"
     );
 
     // The merge alone: per-document shards are already computed, assemble

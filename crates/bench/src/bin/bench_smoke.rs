@@ -13,7 +13,9 @@
 //! win must not erode either), and since the first-token dictionary index
 //! and the symbol-table content hash also `candidates/*` and
 //! `datamodel/*` (document-scope matching over long articles and the
-//! per-document hash every session computes).
+//! per-document hash every session computes), and since label shards keep
+//! one vote column per LF also `session/lf_edit*` (a one-LF edit on a warm
+//! 512-document session re-votes one column, not the whole library).
 //!
 //! The gate normalizes for host drift first: PR 6's baseline regeneration
 //! showed untouched rows moving +25–70% purely from CI-host slowdown.
@@ -39,7 +41,7 @@
 
 use fonduer_observe::json;
 
-const WATCH_PREFIXES: [&str; 9] = [
+const WATCH_PREFIXES: [&str; 10] = [
     "candidates/",
     "datamodel/",
     "features/featurize/",
@@ -49,6 +51,7 @@ const WATCH_PREFIXES: [&str; 9] = [
     "nn/",
     "nlp/",
     "parser/",
+    "session/lf_edit",
 ];
 /// Rows untouched by recent perf work, used to estimate host drift.
 const SENTINELS: [&str; 2] = ["observe/span_overhead", "supervision/generative_fit"];

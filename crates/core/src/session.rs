@@ -28,14 +28,14 @@
 //!
 //! Closure-backed matchers, throttlers, and LFs are opaque to content
 //! hashing: a matcher closure's *behavior* can change without its
-//! fingerprint changing (LFs are keyed by name). When editing an LF body
-//! in place, give it a new name — or call
+//! fingerprint changing, and an LF is identified by its name. Changing an
+//! LF's logic therefore needs a new name — or a call to
 //! [`invalidate`](PipelineSession::invalidate) to force a full recompute.
 //!
 //! # Incremental corpora
 //!
 //! Below the stage cache sits a per-document [`shard_cache`]: candidate
-//! slices, feature CSR blocks, and LF vote blocks are each cached under
+//! slices, feature CSR blocks, and label shards are each cached under
 //! `(document content hash, stage config fingerprint)` and stitched into
 //! the corpus-level artifacts by a deterministic input-order merge (the
 //! same reduction contract `fonduer-par` uses, so assembled artifacts are
@@ -46,6 +46,17 @@
 //! every unchanged document is a pure cache hit, and the cheap merge +
 //! downstream train/infer re-run. [`recomputed_docs`](PipelineSession::recomputed_docs)
 //! reports how many documents actually recomputed in the last traversal.
+//!
+//! A label shard is keyed by the extractor alone and holds one vote column
+//! per LF identity plus the gold flags of the document's candidates. An LF
+//! edit therefore votes only the LFs a document's shard has not seen: a
+//! new name re-votes one column on every training document, while a drop,
+//! a reorder or a step back to an earlier library re-votes nothing. LFs
+//! whose name two LFs have shared are the exception: any library change
+//! re-votes them, so dropping or inserting one never hands another its
+//! column. Each shard keeps the current library's columns plus at most as
+//! many older ones, so a replaced LF still hits when it comes back. The
+//! label matrix is written row-major straight from the columns.
 
 pub mod shard_cache;
 
@@ -65,7 +76,7 @@ use fonduer_nlp::{fnv1a, HashedVocab};
 use fonduer_observe as observe;
 use fonduer_observe::{MentionProvenance, ProvenanceMeta, ProvenanceRecord};
 use fonduer_supervision::{
-    GenerativeModel, GenerativeOptions, LabelBlock, LabelMatrix, LabelingFunction, LfDiagnostics,
+    GenerativeModel, GenerativeOptions, LabelMatrix, LabelingFunction, LfDiagnostics,
 };
 use fonduer_synth::GoldKb;
 use shard_cache::{ShardCache, ShardCacheSummary, ShardKey};
@@ -207,7 +218,7 @@ const DEFAULT_SHARD_CAPACITY: usize = 64;
 struct ShardStore {
     candidates: ShardCache<Vec<Candidate>>,
     features: ShardCache<DocFeatureShard>,
-    labels: ShardCache<LabelBlock>,
+    labels: ShardCache<LabelShard>,
 }
 
 impl ShardStore {
@@ -243,6 +254,88 @@ impl ShardStore {
             recomputed_docs,
         }
     }
+}
+
+/// One training document's label shard: the gold flags of its candidates
+/// plus one vote column per LF identity (see [`lf_identities`]) voted on
+/// it. The current library's columns come first, in library order, then at
+/// most as many older ones, so an LF that a revision replaced still hits
+/// when it comes back.
+struct LabelShard {
+    /// `gold[r]`: whether the document's candidate `r` is a gold tuple.
+    gold: Arc<[bool]>,
+    /// `(LF identity, one vote per candidate)`.
+    columns: Vec<(u64, Arc<[i8]>)>,
+}
+
+impl LabelShard {
+    fn column(&self, id: u64) -> Option<&[i8]> {
+        self.columns
+            .iter()
+            .find(|(c, _)| *c == id)
+            .map(|(_, v)| &v[..])
+    }
+
+    /// The shard after `library` became current: its columns (from `voted`
+    /// or from `self`) in library order, then up to `library.len()` older
+    /// columns, most recently current first.
+    fn revised(&self, library: &[u64], voted: Vec<(u64, Arc<[i8]>)>) -> Self {
+        let mut columns = Vec::with_capacity(2 * library.len());
+        for &id in library {
+            let (_, col) = voted
+                .iter()
+                .chain(&self.columns)
+                .find(|(c, _)| *c == id)
+                .expect("every library column is voted or cached");
+            columns.push((id, Arc::clone(col)));
+        }
+        columns.extend(
+            self.columns
+                .iter()
+                .filter(|(c, _)| !library.contains(c))
+                .take(library.len())
+                .cloned(),
+        );
+        Self {
+            gold: Arc::clone(&self.gold),
+            columns,
+        }
+    }
+}
+
+/// Identity of each LF in `lfs`, the key of its vote columns. An LF is
+/// identified by its name, so a rename, drop, add or reorder elsewhere in
+/// the library keeps its columns; changing an LF's logic needs a new name.
+///
+/// A name in `shared` (two LFs of a library the session supervised shared
+/// it) does not tell its LFs apart from one library to the next: dropping
+/// or inserting one of them would hand another its column. Such an LF is
+/// identified by its occurrence index among same-named LFs plus the
+/// library's ordered name list, so every library change re-votes it.
+fn lf_identities(lfs: &[LabelingFunction], shared: &BTreeSet<String>) -> Vec<u64> {
+    let names = lf_names_hash(lfs);
+    lfs.iter()
+        .enumerate()
+        .map(|(j, lf)| {
+            let name = fnv1a(lf.name.as_bytes());
+            if shared.contains(&lf.name) {
+                let occurrence = lfs[..j].iter().filter(|o| o.name == lf.name).count();
+                hash_parts("lf.shared", &[name, occurrence as u64, names])
+            } else {
+                hash_parts("lf", &[name])
+            }
+        })
+        .collect()
+}
+
+/// Hash of a library's ordered LF names.
+fn lf_names_hash(lfs: &[LabelingFunction]) -> u64 {
+    let mut names = Vec::new();
+    for lf in lfs {
+        names.push(0x1f);
+        names.extend_from_slice(lf.name.as_bytes());
+    }
+    fnv1a(&names)
 }
 
 struct EvalArtifact {
@@ -320,6 +413,9 @@ pub struct PipelineSession<'a> {
     /// Names of documents with at least one shard recomputed during the
     /// current traversal (cleared at each public stage entry).
     recomputed: BTreeSet<String>,
+    /// LF names that two LFs of a supervised library shared; their LFs'
+    /// vote columns are keyed by the whole library (see [`lf_identities`]).
+    shared_lf_names: BTreeSet<String>,
     timings: Timings,
     stats: SessionStats,
     /// Stages already counted during the current top-level traversal: one
@@ -397,6 +493,7 @@ impl<'a> PipelineSession<'a> {
             evaluation: None,
             shards,
             recomputed: BTreeSet::new(),
+            shared_lf_names: BTreeSet::new(),
             timings: Timings::default(),
             stats: SessionStats::default(),
             noted: [false; 6],
@@ -406,7 +503,10 @@ impl<'a> PipelineSession<'a> {
     // ---------------------------------------------------------------- inputs
 
     /// Replace the LF library. Dirties supervise → train → infer →
-    /// evaluate; candidate and feature artifacts stay valid.
+    /// evaluate; candidate and feature artifacts stay valid, and the next
+    /// supervise votes only the LFs the label shards hold no column for
+    /// yet. An LF is identified by its name; LFs that share a name are
+    /// re-voted on every library change.
     pub fn set_lfs(&mut self, lfs: &'a [LabelingFunction]) {
         self.lfs = lfs;
     }
@@ -687,17 +787,12 @@ impl<'a> PipelineSession<'a> {
     }
 
     fn supervise_key(&self) -> u64 {
-        let mut lf_names = Vec::new();
-        for lf in self.lfs {
-            lf_names.push(0x1f);
-            lf_names.extend_from_slice(lf.name.as_bytes());
-        }
         hash_parts(
             "supervise",
             &[
                 self.candidates_key(),
                 self.split_key(),
-                fnv1a(&lf_names),
+                lf_names_hash(self.lfs),
                 fnv1a(format!("{:?}", self.cfg.gen_opts).as_bytes()),
             ],
         )
@@ -1007,127 +1102,168 @@ impl<'a> PipelineSession<'a> {
             return Ok(());
         }
         self.note(StageId::Supervise, false);
-        let cfg_fp = {
-            let mut lf_names = Vec::new();
-            for lf in self.lfs {
-                lf_names.push(0x1f);
-                lf_names.extend_from_slice(lf.name.as_bytes());
+        let lfs = self.lfs;
+        let mut seen = BTreeSet::new();
+        for lf in lfs {
+            if !seen.insert(lf.name.as_str()) {
+                self.shared_lf_names.insert(lf.name.clone());
             }
-            // Keyed without split params: changing the train/test split
-            // reuses every label shard already computed for a document.
-            hash_parts(
-                "shard.label",
-                &[self.extractor.fingerprint(), fnv1a(&lf_names)],
-            )
-        };
+        }
+        // Keyed without LF names or split params: a shard holds a column
+        // per LF identity, so an LF edit votes only the new columns and a
+        // split change reuses every shard already computed for a document.
+        let cfg_fp = hash_parts("shard.label", &[self.extractor.fingerprint()]);
         let n = self.corpus.len();
         self.shards.resize_for(n);
         let corpus: &Corpus = &self.corpus;
         let art = &self.candidates.as_ref().unwrap().value;
         let (train_docs, _) = &self.split.as_ref().unwrap().value;
-        let lfs = self.lfs;
+        let gold = self.gold;
+        let shared_lf_names = &self.shared_lf_names;
         let gen_opts = &self.cfg.gen_opts;
         let n_threads = self.cfg.n_threads;
         let doc_hashes = &self.doc_hashes;
         let cache = &mut self.shards.labels;
         let recomputed = &mut self.recomputed;
-        let ((label_matrix, train_idx, train_marginals, label_coverage), took) =
+        let ((label_matrix, train_idx, train_gold, train_marginals, label_coverage), took) =
             progress_stage("supervise", || {
                 observe::timed("supervise", || {
-                    let lf_refs: Vec<&LabelingFunction> = lfs.iter().collect();
+                    let library = lf_identities(lfs, shared_lf_names);
                     // Corpus positions of training-split documents, in input
                     // order; label shards exist only for these.
                     let train_positions: Vec<usize> = (0..n)
                         .filter(|&i| train_docs.contains(&corpus.doc(DocId::from_usize(i)).name))
                         .collect();
-                    let blocks: Vec<Arc<LabelBlock>> = {
+                    let shards: Vec<Arc<LabelShard>> = {
                         let _span = observe::span("lf_apply");
                         let time_docs = observe::doc_timings_enabled();
-                        let mut plan: Vec<Option<Arc<LabelBlock>>> = train_positions
-                            .iter()
-                            .map(|&i| {
-                                cache.get(ShardKey {
-                                    doc_hash: doc_hashes[i],
-                                    config: cfg_fp,
-                                })
-                            })
-                            .collect();
-                        // Missing slots, as indices into `train_positions`.
-                        let missing: Vec<usize> = plan
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, s)| s.is_none())
-                            .map(|(k, _)| k)
-                            .collect();
-                        if !missing.is_empty() {
-                            let work = |&k: &usize| {
-                                let t0 = time_docs.then(std::time::Instant::now);
-                                let i = train_positions[k];
-                                let (lo, hi) = art.ranges[i];
-                                let block = LabelBlock::compute(
-                                    &lf_refs,
-                                    corpus.doc(DocId::from_usize(i)),
-                                    &art.set.candidates[lo as usize..hi as usize],
+                        let key = |i: usize| ShardKey {
+                            doc_hash: doc_hashes[i],
+                            config: cfg_fp,
+                        };
+                        // One lookup per document: a shard answers for
+                        // every LF. `stale` holds (slot in
+                        // `train_positions`, library columns to vote) for
+                        // every shard that is absent or lacks a column; its
+                        // lookup counts as a shard-cache miss.
+                        let mut plan: Vec<Option<Arc<LabelShard>>> =
+                            Vec::with_capacity(train_positions.len());
+                        let mut stale: Vec<(usize, Vec<usize>)> = Vec::new();
+                        for (k, &i) in train_positions.iter().enumerate() {
+                            let mut missing = Vec::new();
+                            let shard = cache.get_with(key(i), |s: &LabelShard| {
+                                missing.extend(
+                                    (0..lfs.len()).filter(|&j| s.column(library[j]).is_none()),
                                 );
-                                (block, t0.map_or(0, |t| t.elapsed().as_nanos() as u64))
+                                missing.is_empty()
+                            });
+                            if shard.is_none() {
+                                missing.extend(0..lfs.len());
+                            }
+                            if shard.is_none() || !missing.is_empty() {
+                                stale.push((k, missing));
+                            }
+                            plan.push(shard);
+                        }
+                        if !stale.is_empty() {
+                            let has_gold = !gold.is_empty();
+                            let relation = &art.set.schema.name;
+                            let work = |(k, missing): &(usize, Vec<usize>)| {
+                                let t0 = time_docs.then(std::time::Instant::now);
+                                let i = train_positions[*k];
+                                let doc = corpus.doc(DocId::from_usize(i));
+                                let (lo, hi) = art.ranges[i];
+                                let cands = &art.set.candidates[lo as usize..hi as usize];
+                                let voted: Vec<(u64, Arc<[i8]>)> = missing
+                                    .iter()
+                                    .map(|&j| {
+                                        let lf = &lfs[j];
+                                        (
+                                            library[j],
+                                            cands.iter().map(|c| lf.label(doc, c)).collect(),
+                                        )
+                                    })
+                                    .collect();
+                                let flags: Option<Arc<[bool]>> = plan[*k].is_none().then(|| {
+                                    cands
+                                        .iter()
+                                        .map(|c| {
+                                            has_gold
+                                                && gold.contains(
+                                                    relation,
+                                                    &doc.name,
+                                                    &c.arg_texts(doc),
+                                                )
+                                        })
+                                        .collect()
+                                });
+                                let ns = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
+                                (voted, flags, ns)
                             };
                             let pool = fonduer_par::Pool::new(n_threads);
-                            let computed: Vec<(LabelBlock, u64)> =
-                                if pool.n_threads() == 1 || missing.len() < 2 {
-                                    missing.iter().map(work).collect()
-                                } else {
-                                    pool.par_map(&missing, work)
-                                };
-                            for (&k, (block, ns)) in missing.iter().zip(computed) {
+                            let computed: Vec<_> = if pool.n_threads() == 1 || stale.len() < 2 {
+                                stale.iter().map(work).collect()
+                            } else {
+                                pool.par_map(&stale, work)
+                            };
+                            for (&(k, _), (voted, flags, ns)) in stale.iter().zip(computed) {
                                 let i = train_positions[k];
                                 let name = &corpus.doc(DocId::from_usize(i)).name;
                                 if time_docs {
                                     observe::doc_stage_ns(name, "lf_apply", ns);
                                 }
                                 recomputed.insert(name.clone());
-                                let block = Arc::new(block);
-                                cache.insert(
-                                    ShardKey {
-                                        doc_hash: doc_hashes[i],
-                                        config: cfg_fp,
+                                let shard = match plan[k].take() {
+                                    Some(old) => old.revised(&library, voted),
+                                    None => LabelShard {
+                                        gold: flags.expect("absent shards get gold flags"),
+                                        columns: voted,
                                     },
-                                    Arc::clone(&block),
-                                );
-                                plan[k] = Some(block);
+                                };
+                                let shard = Arc::new(shard);
+                                cache.insert(key(i), Arc::clone(&shard));
+                                plan[k] = Some(shard);
                             }
                         }
                         plan.into_iter()
-                            .map(|b| b.expect("every block resolved above"))
+                            .map(|s| s.expect("every shard resolved above"))
                             .collect()
                     };
-                    let label_matrix =
-                        LabelMatrix::from_blocks(lfs.len(), blocks.iter().map(|b| b.as_ref()));
-                    // Candidate indices of the training split, grouped by
-                    // document in input order — identical to filtering the
-                    // merged candidate list by train-doc membership.
-                    let train_idx: Vec<usize> = train_positions
-                        .iter()
-                        .flat_map(|&i| (art.ranges[i].0 as usize)..(art.ranges[i].1 as usize))
-                        .collect();
+                    // Row-major Λ straight from the columns, documents in
+                    // input order; candidate indices and gold flags follow
+                    // the same order.
+                    let mut label_matrix = LabelMatrix::zeros(0, lfs.len());
+                    let mut train_idx = Vec::new();
+                    let mut train_gold = Vec::new();
+                    let mut columns: Vec<&[i8]> = Vec::with_capacity(lfs.len());
+                    for (&i, shard) in train_positions.iter().zip(&shards) {
+                        let (lo, hi) = art.ranges[i];
+                        columns.clear();
+                        columns.extend(
+                            library
+                                .iter()
+                                .map(|&id| shard.column(id).expect("every column resolved above")),
+                        );
+                        label_matrix.push_rows((hi - lo) as usize, &columns);
+                        train_idx.extend(lo as usize..hi as usize);
+                        train_gold.extend_from_slice(&shard.gold);
+                    }
+                    label_matrix.record_vote_counters();
                     let gen = GenerativeModel::fit(&label_matrix, gen_opts);
                     let train_marginals = gen.predict(&label_matrix);
                     let label_coverage = label_matrix.total_coverage();
-                    (label_matrix, train_idx, train_marginals, label_coverage)
+                    (
+                        label_matrix,
+                        train_idx,
+                        train_gold,
+                        train_marginals,
+                        label_coverage,
+                    )
                 })
             });
         observe::gauge_set("supervision.label_coverage", label_coverage);
-        let candidates = &self.candidates.as_ref().unwrap().value.set;
         // LF error-analysis table (empirical accuracy when gold is known).
         let lf_names: Vec<String> = lfs.iter().map(|lf| lf.name.clone()).collect();
-        let train_gold: Vec<bool> = train_idx
-            .iter()
-            .map(|&i| {
-                let c = &candidates.candidates[i];
-                let d = corpus.doc(c.doc);
-                self.gold
-                    .contains(&candidates.schema.name, &d.name, &c.arg_texts(d))
-            })
-            .collect();
         let lf_diagnostics = LfDiagnostics::compute(
             &lf_names,
             &label_matrix,

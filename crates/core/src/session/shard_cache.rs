@@ -1,13 +1,21 @@
 //! The per-document shard cache behind incremental
 //! [`PipelineSession`](crate::PipelineSession) recomputation.
 //!
-//! Stage artifacts (candidate slices, feature CSR blocks, LF vote blocks)
+//! Stage artifacts (candidate slices, feature CSR blocks, label shards)
 //! are cached per document under a [`ShardKey`] —
 //! `(document content hash, stage config fingerprint)` — so mutating one
 //! document invalidates exactly that document's shards: its content hash
 //! changes, every other key still hits. Shards are content-addressed, not
 //! position-addressed, which keeps them valid across the `DocId` shifts a
 //! removal causes.
+//!
+//! A label shard's fingerprint covers only the extractor: the shard holds
+//! one vote column per LF identity and grows when an LF edit votes a
+//! column it lacks. The session looks it up with
+//! [`get_with`](ShardCache::get_with), so one lookup per document answers
+//! every LF and a shard that still lacks a column counts as a miss, and
+//! then re-[`insert`](ShardCache::insert)s the revised shard under the
+//! same key.
 //!
 //! Eviction is deterministic LRU over an insertion/access tick, bounded by
 //! a capacity the session resizes to track the corpus (a few generations
@@ -29,7 +37,7 @@ pub struct ShardKey {
     /// of the document the shard was computed from.
     pub doc_hash: u64,
     /// Fingerprint of every stage input that shapes the shard (extractor,
-    /// feature config, LF names, ...).
+    /// feature config, ...).
     pub config: u64,
 }
 
@@ -82,22 +90,32 @@ impl<T> ShardCache<T> {
 
     /// Look up a shard, counting a hit or miss and refreshing LRU order.
     pub fn get(&mut self, key: ShardKey) -> Option<Arc<T>> {
+        self.get_with(key, |_| true)
+    }
+
+    /// Look up a shard the caller may have to complete: a resident shard
+    /// is returned and refreshed in LRU order either way, but counts as a
+    /// hit only when `complete` holds for it. One that still needs
+    /// recomputation counts as a miss.
+    pub fn get_with(&mut self, key: ShardKey, complete: impl FnOnce(&T) -> bool) -> Option<Arc<T>> {
         self.tick += 1;
-        match self.map.get_mut(&key) {
+        let found = match self.map.get_mut(&key) {
             Some(e) => {
                 self.lru.remove(&e.last_used);
                 self.lru.insert(self.tick, key);
                 e.last_used = self.tick;
-                self.hits += 1;
-                observe::counter("session.shard_cache.hit", 1);
                 Some(Arc::clone(&e.value))
             }
-            None => {
-                self.misses += 1;
-                observe::counter("session.shard_cache.miss", 1);
-                None
-            }
+            None => None,
+        };
+        if found.as_deref().is_some_and(complete) {
+            self.hits += 1;
+            observe::counter("session.shard_cache.hit", 1);
+        } else {
+            self.misses += 1;
+            observe::counter("session.shard_cache.miss", 1);
         }
+        found
     }
 
     /// Insert (or overwrite) a shard, evicting least-recently-used entries
@@ -202,6 +220,17 @@ mod tests {
         assert!(c.get(k(2, 1)).is_none(), "doc hash is part of the key");
         assert_eq!((c.hits(), c.misses(), c.evicts()), (1, 3, 0));
         assert_eq!(c.len(), 1);
+    }
+
+    #[test]
+    fn incomplete_shard_is_returned_but_counts_as_a_miss() {
+        let mut c: ShardCache<u32> = ShardCache::new(8);
+        c.insert(k(1, 1), Arc::new(42));
+        assert_eq!(c.get_with(k(1, 1), |&v| v == 7).as_deref(), Some(&42));
+        assert_eq!((c.hits(), c.misses()), (0, 1));
+        assert_eq!(c.get_with(k(1, 1), |&v| v == 42).as_deref(), Some(&42));
+        assert!(c.get_with(k(2, 1), |_| true).is_none());
+        assert_eq!((c.hits(), c.misses()), (1, 2));
     }
 
     #[test]

@@ -28,6 +28,6 @@ pub use active::{
 };
 pub use diagnostics::{LfDiagnostics, LfDiagnosticsRow};
 pub use lf::{filter_by_metadata, LabelingFunction, Modality, ABSTAIN, FALSE, TRUE};
-pub use matrix::{LabelBlock, LabelMatrix};
+pub use matrix::LabelMatrix;
 pub use model::{majority_vote, GenerativeModel, GenerativeOptions};
 pub use user_study::{modality_distribution, LfProcess, ManualProcess};

@@ -3,8 +3,8 @@
 //! "coverage, conflict, and overlap").
 
 use crate::lf::LabelingFunction;
-use fonduer_candidates::{Candidate, CandidateSet};
-use fonduer_datamodel::{Corpus, DocId, Document};
+use fonduer_candidates::CandidateSet;
+use fonduer_datamodel::{Corpus, DocId};
 
 /// Dense label matrix: `n` candidates × `l` labeling functions.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,7 +31,6 @@ impl LabelMatrix {
         let mut current_doc: Option<DocId> = None;
         let mut doc_t0 = std::time::Instant::now();
         let mut m = Self::zeros(cands.len(), lfs.len());
-        let (mut pos, mut neg, mut abstain) = (0u64, 0u64, 0u64);
         for (i, cand) in cands.candidates.iter().enumerate() {
             if time_docs && current_doc != Some(cand.doc) {
                 if let Some(prev) = current_doc {
@@ -46,13 +45,7 @@ impl LabelMatrix {
             }
             let doc = corpus.doc(cand.doc);
             for (j, lf) in lfs.iter().enumerate() {
-                let v = lf.label(doc, cand);
-                match v {
-                    1 => pos += 1,
-                    -1 => neg += 1,
-                    _ => abstain += 1,
-                }
-                m.set(i, j, v);
+                m.set(i, j, lf.label(doc, cand));
             }
         }
         if time_docs {
@@ -64,15 +57,7 @@ impl LabelMatrix {
                 );
             }
         }
-        fonduer_observe::counter("supervision.votes.positive", pos);
-        fonduer_observe::counter("supervision.votes.negative", neg);
-        fonduer_observe::counter("supervision.votes.abstain", abstain);
-        fonduer_observe::counter(
-            "supervision.rows_covered",
-            (0..m.n_rows)
-                .filter(|&i| m.row(i).iter().any(|&v| v != 0))
-                .count() as u64,
-        );
+        m.record_vote_counters();
         m
     }
 
@@ -96,12 +81,11 @@ impl LabelMatrix {
         let _span = fonduer_observe::span("lf_apply");
         let time_docs = fonduer_observe::doc_timings_enabled();
         let n_cols = lfs.len();
-        // (row block, vote tally, per-doc ns) per chunk; folded back in
-        // input order, so DocTimings insertion order is thread-count
-        // invariant (a document split across two chunks accumulates).
+        // (row block, per-doc ns) per chunk; folded back in input order, so
+        // DocTimings insertion order is thread-count invariant (a document
+        // split across two chunks accumulates).
         let chunks = pool.par_chunks(&cands.candidates, |_, block| {
             let mut rows: Vec<i8> = Vec::with_capacity(block.len() * n_cols);
-            let (mut pos, mut neg, mut abstain) = (0u64, 0u64, 0u64);
             let mut doc_ns: Vec<(DocId, u64)> = Vec::new();
             let mut current_doc: Option<DocId> = None;
             let mut doc_t0 = std::time::Instant::now();
@@ -114,85 +98,70 @@ impl LabelMatrix {
                     current_doc = Some(cand.doc);
                 }
                 let doc = corpus.doc(cand.doc);
-                for lf in lfs {
-                    let v = lf.label(doc, cand);
-                    match v {
-                        1 => pos += 1,
-                        -1 => neg += 1,
-                        _ => abstain += 1,
-                    }
-                    rows.push(v);
-                }
+                rows.extend(lfs.iter().map(|lf| lf.label(doc, cand)));
             }
             if time_docs {
                 if let Some(prev) = current_doc {
                     doc_ns.push((prev, doc_t0.elapsed().as_nanos() as u64));
                 }
             }
-            (rows, pos, neg, abstain, doc_ns)
+            (rows, doc_ns)
         });
         let mut m = Self {
             n_rows: cands.len(),
             n_cols,
             data: Vec::with_capacity(cands.len() * n_cols),
         };
-        let (mut pos, mut neg, mut abstain) = (0u64, 0u64, 0u64);
-        for (rows, p, n, a, doc_ns) in chunks {
+        for (rows, doc_ns) in chunks {
             for (doc, ns) in doc_ns {
                 fonduer_observe::doc_stage_ns(&corpus.doc(doc).name, "lf_apply", ns);
             }
             m.data.extend_from_slice(&rows);
-            pos += p;
-            neg += n;
-            abstain += a;
         }
-        fonduer_observe::counter("supervision.votes.positive", pos);
-        fonduer_observe::counter("supervision.votes.negative", neg);
-        fonduer_observe::counter("supervision.votes.abstain", abstain);
-        fonduer_observe::counter(
-            "supervision.rows_covered",
-            (0..m.n_rows)
-                .filter(|&i| m.row(i).iter().any(|&v| v != 0))
-                .count() as u64,
-        );
+        m.record_vote_counters();
         m
     }
 
-    /// Assemble a matrix from per-document vote blocks, in corpus order.
-    /// The row layout and the telemetry counters
-    /// (`supervision.votes.{positive,negative,abstain}`,
-    /// `supervision.rows_covered`) are byte-identical to
-    /// [`LabelMatrix::apply`] over the concatenated candidates — this is
-    /// the shard-cached session's reduction step, mirroring
-    /// `apply_parallel`'s input-order fold.
-    pub fn from_blocks<'b>(
-        n_cols: usize,
-        blocks: impl IntoIterator<Item = &'b LabelBlock>,
-    ) -> Self {
-        let mut m = Self {
-            n_rows: 0,
-            n_cols,
-            data: Vec::new(),
-        };
-        let (mut pos, mut neg, mut abstain) = (0u64, 0u64, 0u64);
-        for b in blocks {
-            debug_assert_eq!(b.n_cols, n_cols);
-            m.data.extend_from_slice(&b.rows);
-            pos += b.positive;
-            neg += b.negative;
-            abstain += b.abstain;
+    /// Append one document's `n_rows` candidate rows, given as one vote
+    /// column per LF in column order (each `n_rows` long: the LF's votes on
+    /// the document's candidates). Pushing every document's columns in corpus order
+    /// onto `zeros(0, n_cols)` reproduces [`LabelMatrix::apply`] over the
+    /// concatenated candidates byte for byte — the shard-cached session's
+    /// reduction step.
+    pub fn push_rows(&mut self, n_rows: usize, columns: &[&[i8]]) {
+        assert_eq!(columns.len(), self.n_cols, "one vote column per LF");
+        debug_assert!(columns.iter().all(|c| c.len() == n_rows));
+        self.data.reserve(n_rows * self.n_cols);
+        for r in 0..n_rows {
+            self.data.extend(columns.iter().map(|c| c[r]));
         }
-        m.n_rows = m.data.len().checked_div(n_cols).unwrap_or(0);
-        fonduer_observe::counter("supervision.votes.positive", pos);
-        fonduer_observe::counter("supervision.votes.negative", neg);
+        self.n_rows += n_rows;
+    }
+
+    /// Publish the vote tally of this finished matrix:
+    /// `supervision.votes.{positive,negative,abstain}` (one count per cell)
+    /// and `supervision.rows_covered` (rows with a non-abstain vote). Every
+    /// path that builds Λ reports through here, so equal matrices add
+    /// equal counts.
+    pub fn record_vote_counters(&self) {
+        let (mut positive, mut negative) = (0u64, 0u64);
+        for &v in &self.data {
+            match v {
+                1 => positive += 1,
+                -1 => negative += 1,
+                _ => {}
+            }
+        }
+        let abstain = self.data.len() as u64 - positive - negative;
+        fonduer_observe::counter("supervision.votes.positive", positive);
+        fonduer_observe::counter("supervision.votes.negative", negative);
         fonduer_observe::counter("supervision.votes.abstain", abstain);
         fonduer_observe::counter(
             "supervision.rows_covered",
-            (0..m.n_rows)
-                .filter(|&i| m.row(i).iter().any(|&v| v != 0))
+            (0..self.n_rows)
+                .filter(|&i| self.row(i).iter().any(|&v| v != 0))
                 .count() as u64,
         );
-        m
     }
 
     /// Number of candidates.
@@ -291,55 +260,6 @@ impl LabelMatrix {
     }
 }
 
-/// One document's LF-vote shard: the dense vote rows for that document's
-/// candidates plus this block's vote tallies, ready for the input-order
-/// [`LabelMatrix::from_blocks`] reduction. Blocks carry no document id —
-/// shard-cached sessions key them by
-/// `(document content hash, LF-library fingerprint)`, so a block stays
-/// valid when other documents are inserted or removed around it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LabelBlock {
-    /// Row-major votes: one row of `n_cols` labels per candidate.
-    rows: Vec<i8>,
-    n_cols: usize,
-    positive: u64,
-    negative: u64,
-    abstain: u64,
-}
-
-impl LabelBlock {
-    /// Vote every LF on one document's candidates. Only the mention spans
-    /// of each candidate are read against `doc`, so positionally stale
-    /// `Candidate::doc` ids (from a mutated corpus) are harmless.
-    pub fn compute(lfs: &[&LabelingFunction], doc: &Document, cands: &[Candidate]) -> Self {
-        let mut rows: Vec<i8> = Vec::with_capacity(cands.len() * lfs.len());
-        let (mut positive, mut negative, mut abstain) = (0u64, 0u64, 0u64);
-        for cand in cands {
-            for lf in lfs {
-                let v = lf.label(doc, cand);
-                match v {
-                    1 => positive += 1,
-                    -1 => negative += 1,
-                    _ => abstain += 1,
-                }
-                rows.push(v);
-            }
-        }
-        Self {
-            rows,
-            n_cols: lfs.len(),
-            positive,
-            negative,
-            abstain,
-        }
-    }
-
-    /// Number of candidate rows in this block.
-    pub fn n_rows(&self) -> usize {
-        self.rows.len().checked_div(self.n_cols).unwrap_or(0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -395,10 +315,10 @@ mod tests {
     }
 
     #[test]
-    fn from_blocks_matches_apply() {
+    fn pushed_columns_match_apply() {
         use crate::lf::Modality;
-        use fonduer_candidates::RelationSchema;
-        use fonduer_datamodel::DocFormat;
+        use fonduer_candidates::{Candidate, RelationSchema};
+        use fonduer_datamodel::{DocFormat, Document};
 
         let mut corpus = Corpus::new("t");
         let d0 = corpus.add(Document::new("a", DocFormat::Html));
@@ -431,11 +351,28 @@ mod tests {
         ];
         let lf_refs: Vec<&LabelingFunction> = lfs.iter().collect();
         let whole = LabelMatrix::apply(&lf_refs, &corpus, &cands);
-        let b0 = LabelBlock::compute(&lf_refs, corpus.doc(d0), &cands.candidates[0..2]);
-        let b1 = LabelBlock::compute(&lf_refs, corpus.doc(d1), &cands.candidates[2..3]);
-        assert_eq!(b0.n_rows(), 2);
-        assert_eq!(b1.n_rows(), 1);
-        let merged = LabelMatrix::from_blocks(lf_refs.len(), [&b0, &b1]);
+        let mut merged = LabelMatrix::zeros(0, lfs.len());
+        for (id, rows) in [(d0, 0..2), (d1, 2..3)] {
+            let doc = corpus.doc(id);
+            let cols: Vec<Vec<i8>> = lfs
+                .iter()
+                .map(|lf| {
+                    cands.candidates[rows.clone()]
+                        .iter()
+                        .map(|c| lf.label(doc, c))
+                        .collect()
+                })
+                .collect();
+            let col_refs: Vec<&[i8]> = cols.iter().map(Vec::as_slice).collect();
+            merged.push_rows(rows.len(), &col_refs);
+        }
         assert_eq!(merged, whole);
+    }
+
+    #[test]
+    fn push_rows_without_lfs_keeps_the_row_count() {
+        let mut m = LabelMatrix::zeros(0, 0);
+        m.push_rows(3, &[]);
+        assert_eq!(m, LabelMatrix::zeros(3, 0));
     }
 }

@@ -4,7 +4,8 @@
 //! cache, so the second iteration pays only for supervision, training, and
 //! inference.
 //!
-//! Prints machine-checkable lines (`warm_cache_hits=...`) that CI greps.
+//! Prints machine-checkable lines (`warm_cache_hits=...`,
+//! `lf_drop_recomputed_docs=...`) that CI greps.
 //!
 //! Run with: `cargo run --release --example incremental`
 
@@ -79,6 +80,15 @@ fn main() {
     );
     assert_eq!(stats.stage(StageId::Supervise).misses, 1);
     assert_eq!(stats.stage(StageId::Train).misses, 1);
+    // Label shards hold one vote column per LF, so dropping an LF re-votes
+    // no document: the matrix reassembles from cached columns. CI greps
+    // this line too.
+    let lf_drop_recomputed_docs = session.recomputed_docs();
+    println!("lf_drop_recomputed_docs={lf_drop_recomputed_docs}");
+    assert_eq!(
+        lf_drop_recomputed_docs, 0,
+        "dropping an LF must not re-vote any document"
+    );
 
     let speedup = cold_total.as_secs_f64() / warm_total.as_secs_f64().max(1e-9);
     println!("cold/warm wall-clock ratio: {speedup:.1}x");
