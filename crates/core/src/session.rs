@@ -66,9 +66,7 @@ use crate::kb::KnowledgeBase;
 use crate::pipeline::{is_train_doc, Learner, PipelineConfig, PipelineOutput, Task, Timings};
 use fonduer_candidates::{Candidate, CandidateExtractor, CandidateSet};
 use fonduer_datamodel::{Corpus, DocId, Document};
-use fonduer_features::{
-    DocFeatureShard, FeatureConfig, FeatureSet, FeatureShardMerger, Featurizer,
-};
+use fonduer_features::{merge_shards, DocFeatureShard, FeatureConfig, FeatureSet, Featurizer};
 use fonduer_learning::{
     prepare, FonduerModel, HogwildLogReg, LogRegModel, ModelConfig, PreparedDataset, ProbClassifier,
 };
@@ -1045,11 +1043,11 @@ impl<'a> PipelineSession<'a> {
                 // Input-order merge: shard-local feature ids remap through
                 // a shared vocab in first-occurrence order, reproducing the
                 // sequential featurizer's intern order byte for byte.
-                let mut merger = FeatureShardMerger::new(hashing_bits);
-                for shard in &plan {
-                    merger.push(shard.as_ref().expect("every shard resolved above"));
-                }
-                merger.finish()
+                let shards: Vec<Arc<DocFeatureShard>> = plan
+                    .into_iter()
+                    .map(|shard| shard.expect("every shard resolved above"))
+                    .collect();
+                merge_shards(hashing_bits, &shards)
             })
         });
         self.timings.featurize = took;

@@ -19,6 +19,7 @@ use crate::unary::unary_features_into;
 use fonduer_candidates::{Candidate, CandidateSet};
 use fonduer_datamodel::{Corpus, DocId, Document, Span};
 use fonduer_observe as observe;
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -158,8 +159,9 @@ impl FeatureSet {
     }
 }
 
-/// Append the sink's raw emission row to the CSR matrix (sorted, deduped,
-/// first occurrence wins) and reset the sink for the next candidate.
+/// Append the sink's raw emission row to the CSR matrix (sorted, one entry
+/// per id; see [`dedup_row`] for which modality tag a hashed bucket keeps)
+/// and reset the sink for the next candidate.
 fn finish_row(
     sink: &mut FeatureSink<'_>,
     csr: &mut CsrMatrix,
@@ -616,21 +618,23 @@ fn merge_chunk(
 }
 
 /// One document's featurization shard: self-contained CSR-block rows for
-/// that document's candidates. In interned mode every symbol id is
-/// [`DELTA_BIT`]-tagged and indexes the shard's own first-occurrence
-/// `delta` vocabulary; in hashing mode ids are final buckets and the delta
-/// is empty. Shards carry no document id — sessions key them by
+/// that document's candidates. In interned mode every symbol id indexes the
+/// shard's own first-occurrence `delta` vocabulary, which also keeps each
+/// name's FNV-1a hash (8 bytes per name) so [`merge_shards`] never hashes a
+/// name again; in hashing mode ids are final buckets and the delta is
+/// empty. Shards carry no document id — sessions key them by
 /// `(document content hash, feature-config fingerprint)` and stitch them
-/// into a corpus-level [`FeatureSet`] with a [`FeatureShardMerger`], so a
+/// into a corpus-level [`FeatureSet`] with [`merge_shards`], so a
 /// document's shard stays valid when other documents are inserted or
 /// removed around it.
 #[derive(Debug, Clone)]
 pub struct DocFeatureShard {
-    /// All rows back-to-back (already deduped within each row by local id).
+    /// All rows back-to-back, each sorted by id with one entry per id.
     flat: Vec<(u32, u8)>,
     /// Row boundaries into `flat` (`n_rows + 1` offsets).
     offsets: Vec<u32>,
-    /// Shard-local first-occurrence vocabulary (empty in hashing mode).
+    /// Shard-local first-occurrence vocabulary with per-name hashes (empty
+    /// in hashing mode).
     delta: FeatureVocab,
     stats: CacheStats,
     tally: [u64; 5],
@@ -660,9 +664,8 @@ impl Featurizer {
     /// from a mutated corpus featurize correctly).
     ///
     /// The per-document mention cache works exactly as in
-    /// [`Featurizer::featurize`]; merging shards in corpus order via
-    /// [`FeatureShardMerger`] reproduces the sequential output
-    /// byte-for-byte.
+    /// [`Featurizer::featurize`]; merging shards in corpus order with
+    /// [`merge_shards`] reproduces the sequential output byte-for-byte.
     pub fn featurize_doc(&self, doc: &Document, cands: &[Candidate]) -> DocFeatureShard {
         let hashed = self.cfg.hashing_bits > 0;
         let mut delta = FeatureVocab::new();
@@ -676,7 +679,7 @@ impl Featurizer {
             let mut sink = if hashed {
                 FeatureSink::hashed(self.cfg.hashing_bits)
             } else {
-                FeatureSink::delta(&mut delta)
+                FeatureSink::interning(&mut delta)
             };
             for cand in cands {
                 self.candidate_into(
@@ -697,6 +700,8 @@ impl Featurizer {
             }
             tally = sink.tally();
         }
+        // Shards live in the session cache: keep no growth slack.
+        flat.shrink_to_fit();
         DocFeatureShard {
             flat,
             offsets,
@@ -708,111 +713,147 @@ impl Featurizer {
     }
 }
 
-/// Input-order reducer stitching [`DocFeatureShard`]s into one
-/// [`FeatureSet`] — the same reduction contract `featurize_parallel` uses
-/// for chunk deltas, packaged for shard-cached sessions. Push shards in
-/// corpus order; each shard's delta names are interned into the global
-/// vocabulary in first-occurrence order, its rows remapped to global
-/// columns and re-deduped, and its cache statistics accumulated. The
-/// finished artifact is byte-identical to [`Featurizer::featurize`] over
-/// the concatenated candidates.
-pub struct FeatureShardMerger {
-    hashing_bits: u8,
-    vocab: FeatureVocab,
-    csr: CsrMatrix,
-    stats: CacheStats,
-    tally: [u64; 5],
-    row_modality: Option<Vec<[u32; 5]>>,
-    row_buf: Vec<(u32, u8)>,
-    remap: Vec<u32>,
-}
-
-impl FeatureShardMerger {
-    /// Merger for shards built with the given hashing bit width
-    /// (0 = interned vocabulary mode).
-    pub fn new(hashing_bits: u8) -> Self {
-        Self {
-            hashing_bits,
-            vocab: FeatureVocab::new(),
-            csr: CsrMatrix::new(),
-            stats: CacheStats::default(),
-            tally: [0; 5],
-            row_modality: (hashing_bits > 0).then(Vec::new),
-            row_buf: Vec::with_capacity(128),
-            remap: Vec::new(),
-        }
+/// Stitch per-document shards, given in corpus order, into one corpus-level
+/// [`FeatureSet`]: byte-identical to [`Featurizer::featurize`] over the
+/// concatenated candidates (same first-occurrence vocabulary, same sorted
+/// rows, same cache statistics), with the emission tallies and cache
+/// counters flushed to `fonduer-observe` as the monolithic paths do.
+///
+/// The merged matrix has exactly Σ shard rows and Σ shard entries, so its
+/// three arrays are allocated once at that size. In hashing mode shard ids
+/// are final buckets, already sorted and deduped, and rows stream straight
+/// through. In interned mode each shard's names are interned into the
+/// corpus vocabulary in first-occurrence order under the hashes the shard
+/// kept, so no name is hashed twice. A shard vocabulary holds each name
+/// once, so the local → global remap is injective: a remapped row has
+/// distinct ids and needs reordering only, never dedup — and the
+/// reordering sorts nothing (see `RowOrder`).
+pub fn merge_shards<S: Borrow<DocFeatureShard>>(hashing_bits: u8, shards: &[S]) -> FeatureSet {
+    let (mut n_rows, mut nnz) = (0usize, 0usize);
+    for shard in shards {
+        let shard = shard.borrow();
+        debug_assert_eq!(shard.hashing_bits, hashing_bits);
+        n_rows += shard.n_rows();
+        nnz += shard.flat.len();
     }
-
-    /// Append one document's shard (must be called in corpus order).
-    pub fn push(&mut self, shard: &DocFeatureShard) {
-        debug_assert_eq!(shard.hashing_bits, self.hashing_bits);
-        if self.hashing_bits > 0 {
-            // Hashed mode: shard ids are final buckets and each row is
-            // already sorted and deduped, so rows stream straight into the
-            // CSR with no remap, copy, or re-sort.
+    let mut indptr: Vec<u32> = Vec::with_capacity(n_rows + 1);
+    indptr.push(0);
+    let mut indices: Vec<u32> = Vec::with_capacity(nnz);
+    let mut vocab = FeatureVocab::new();
+    let mut stats = CacheStats::default();
+    let mut tally = [0u64; 5];
+    let mut row_modality: Option<Vec<[u32; 5]>> =
+        (hashing_bits > 0).then(|| Vec::with_capacity(n_rows));
+    let mut order = RowOrder::default();
+    for shard in shards {
+        let shard = shard.borrow();
+        let rows = shard
+            .offsets
+            .windows(2)
+            .map(|w| &shard.flat[w[0] as usize..w[1] as usize]);
+        if let Some(rm) = row_modality.as_mut() {
             debug_assert_eq!(shard.delta.len(), 0);
-            for w in shard.offsets.windows(2) {
-                let row = &shard.flat[w[0] as usize..w[1] as usize];
-                if let Some(rm) = self.row_modality.as_mut() {
-                    let mut counts = [0u32; 5];
-                    for &(_, m) in row {
-                        counts[(m as usize).min(4)] += 1;
-                    }
-                    rm.push(counts);
-                }
-                self.csr.push_ids(row.iter().map(|&(id, _)| id));
-            }
-            self.stats.hits += shard.stats.hits;
-            self.stats.misses += shard.stats.misses;
-            for (t, v) in self.tally.iter_mut().zip(shard.tally) {
-                *t += v;
-            }
-            return;
-        }
-        self.remap.clear();
-        for i in 0..shard.delta.len() as u32 {
-            let gid = self.vocab.intern(shard.delta.name(i));
-            self.remap.push(gid);
-        }
-        for w in shard.offsets.windows(2) {
-            let (lo, hi) = (w[0] as usize, w[1] as usize);
-            self.row_buf.clear();
-            self.row_buf
-                .extend(shard.flat[lo..hi].iter().map(|&(id, m)| {
-                    if id & DELTA_BIT != 0 {
-                        (self.remap[(id & !DELTA_BIT) as usize], m)
-                    } else {
-                        (id, m)
-                    }
-                }));
-            dedup_row(&mut self.row_buf);
-            if let Some(rm) = self.row_modality.as_mut() {
+            for row in rows {
                 let mut counts = [0u32; 5];
-                for &(_, m) in self.row_buf.iter() {
+                for &(id, m) in row {
                     counts[(m as usize).min(4)] += 1;
+                    indices.push(id);
                 }
                 rm.push(counts);
+                indptr.push(indices.len() as u32);
             }
-            self.csr.push_ids(self.row_buf.iter().map(|&(id, _)| id));
+        } else {
+            order.rank_shard(&shard.delta, &mut vocab);
+            for row in rows {
+                order.emit_row(row, &mut indices);
+                indptr.push(indices.len() as u32);
+            }
         }
-        self.stats.hits += shard.stats.hits;
-        self.stats.misses += shard.stats.misses;
-        for (t, v) in self.tally.iter_mut().zip(shard.tally) {
+        stats.hits += shard.stats.hits;
+        stats.misses += shard.stats.misses;
+        for (t, v) in tally.iter_mut().zip(shard.tally) {
             *t += v;
         }
     }
+    debug_assert_eq!(indices.len(), nnz);
+    flush_tally(&tally, &stats);
+    FeatureSet {
+        vocab,
+        matrix: Arc::new(CsrMatrix::from_parts(indptr, indices, vec![1.0; nnz])),
+        stats,
+        hashing_bits,
+        row_modality,
+    }
+}
 
-    /// Finish the merge, flushing the accumulated emission tallies and
-    /// cache counters to `fonduer-observe` exactly as the monolithic paths
-    /// do.
-    pub fn finish(self) -> FeatureSet {
-        flush_tally(&self.tally, &self.stats);
-        FeatureSet {
-            vocab: self.vocab,
-            matrix: Arc::new(self.csr),
-            stats: self.stats,
-            hashing_bits: self.hashing_bits,
-            row_modality: self.row_modality,
+/// Reusable scratch that puts one shard's rows into ascending global-id
+/// order without sorting. [`RowOrder::rank_shard`] interns the shard's
+/// names and ranks its local ids by global id with one scan of a bitmap
+/// over the corpus vocabulary; [`RowOrder::emit_row`] then sets a row's
+/// ranks in a shard-sized bitset and reads them back in order. Both
+/// bitmaps are cleared by the scans that read them.
+#[derive(Default)]
+struct RowOrder {
+    /// Bitmap over the corpus vocabulary, all zero between shards.
+    seen: Vec<u64>,
+    /// Shard-local id of each global id marked in `seen`.
+    owner: Vec<u32>,
+    /// Rank of each shard-local id in ascending global-id order.
+    rank: Vec<u32>,
+    /// Global id at each rank (ascending).
+    by_rank: Vec<u32>,
+    /// Bitset over the shard's ranks, all zero between rows.
+    row_bits: Vec<u64>,
+}
+
+impl RowOrder {
+    /// Intern a shard's names into `vocab` in local-id order and rank its
+    /// local ids by global id, in O(names + id span / 64).
+    fn rank_shard(&mut self, delta: &FeatureVocab, vocab: &mut FeatureVocab) {
+        let n = delta.len();
+        self.rank.resize(n, 0);
+        self.by_rank.clear();
+        self.row_bits.clear();
+        self.row_bits.resize(n.div_ceil(64), 0);
+        if n == 0 {
+            return;
+        }
+        let (mut lo, mut hi) = (usize::MAX, 0);
+        for local in 0..n as u32 {
+            let g = vocab.intern_hashed(delta.hash(local), delta.name(local)) as usize;
+            if self.seen.len() <= g / 64 {
+                self.seen.resize(g / 64 + 1, 0);
+                self.owner.resize(self.seen.len() * 64, 0);
+            }
+            self.seen[g / 64] |= 1 << (g % 64);
+            self.owner[g] = local;
+            lo = lo.min(g / 64);
+            hi = hi.max(g / 64);
+        }
+        for w in lo..=hi {
+            let mut word = std::mem::take(&mut self.seen[w]);
+            while word != 0 {
+                let g = w * 64 + word.trailing_zeros() as usize;
+                self.rank[self.owner[g] as usize] = self.by_rank.len() as u32;
+                self.by_rank.push(g as u32);
+                word &= word - 1;
+            }
+        }
+    }
+
+    /// Append one shard row (one entry per local id) to `indices` as
+    /// ascending global ids.
+    fn emit_row(&mut self, row: &[(u32, u8)], indices: &mut Vec<u32>) {
+        for &(local, _) in row {
+            let r = self.rank[local as usize] as usize;
+            self.row_bits[r / 64] |= 1 << (r % 64);
+        }
+        for (w, bits) in self.row_bits.iter_mut().enumerate() {
+            let mut word = std::mem::take(bits);
+            while word != 0 {
+                indices.push(self.by_rank[w * 64 + word.trailing_zeros() as usize]);
+                word &= word - 1;
+            }
         }
     }
 }
@@ -1107,13 +1148,13 @@ mod parallel_tests {
         let (corpus, cands) = corpus_and_cands();
         let f = Featurizer::default();
         let seq = f.featurize(&corpus, &cands);
-        let mut merger = FeatureShardMerger::new(0);
+        let mut shards = Vec::new();
         for (doc, slice) in doc_slices(&cands) {
             let shard = f.featurize_doc(corpus.doc(doc), slice);
             assert_eq!(shard.n_rows(), slice.len());
-            merger.push(&shard);
+            shards.push(shard);
         }
-        let merged = merger.finish();
+        let merged = merge_shards(0, &shards);
         assert_eq!(merged.vocab.len(), seq.vocab.len());
         for c in 0..seq.vocab.len() as u32 {
             assert_eq!(merged.vocab.name(c), seq.vocab.name(c));
@@ -1128,11 +1169,11 @@ mod parallel_tests {
         let (corpus, cands) = corpus_and_cands();
         let f = Featurizer::new(FeatureConfig::all().with_hashing(16));
         let seq = f.featurize(&corpus, &cands);
-        let mut merger = FeatureShardMerger::new(16);
-        for (doc, slice) in doc_slices(&cands) {
-            merger.push(&f.featurize_doc(corpus.doc(doc), slice));
-        }
-        let merged = merger.finish();
+        let shards: Vec<DocFeatureShard> = doc_slices(&cands)
+            .into_iter()
+            .map(|(doc, slice)| f.featurize_doc(corpus.doc(doc), slice))
+            .collect();
+        let merged = merge_shards(16, &shards);
         assert_eq!(merged.matrix, seq.matrix);
         assert_eq!(merged.stats, seq.stats);
         for r in 0..cands.len() {
@@ -1156,10 +1197,7 @@ mod parallel_tests {
             .map(|c| Candidate::new(DocId(999), c.mentions.clone()))
             .collect();
         let shard_stale = f.featurize_doc(corpus.doc(doc), &stale);
-        let (mut a, mut b) = (FeatureShardMerger::new(0), FeatureShardMerger::new(0));
-        a.push(&shard);
-        b.push(&shard_stale);
-        let (a, b) = (a.finish(), b.finish());
+        let (a, b) = (merge_shards(0, &[shard]), merge_shards(0, &[shard_stale]));
         assert_eq!(a.matrix, b.matrix);
         assert_eq!(a.stats, b.stats);
     }

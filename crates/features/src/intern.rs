@@ -37,13 +37,16 @@ pub(crate) const DELTA_BIT: u32 = 1 << 31;
 /// Interns feature names to dense column indices.
 ///
 /// A [`SymbolArena`] (names back-to-back in one arena string, hash index
-/// with byte-compare collision chains) plus a modality tag computed once at
-/// intern time, so provenance tallies never re-stringify. Interning a known
+/// with byte-compare collision chains) plus, per name, a modality tag
+/// computed once at intern time, so provenance tallies never re-stringify,
+/// and the name's FNV-1a hash, so merging a document shard's vocabulary
+/// into the corpus vocabulary never hashes a name twice. Interning a known
 /// name is hash + byte-compare, no allocation.
 #[derive(Debug, Clone, Default)]
 pub struct FeatureVocab {
     syms: SymbolArena,
     modality: Vec<u8>,
+    hashes: Vec<u64>,
 }
 
 impl FeatureVocab {
@@ -63,8 +66,14 @@ impl FeatureVocab {
         let id = self.syms.intern_hashed(h, name);
         if self.syms.len() > before {
             self.modality.push(modality_index(name).unwrap_or(4) as u8);
+            self.hashes.push(h);
         }
         id
+    }
+
+    /// The FNV-1a hash a column's name was interned with.
+    pub(crate) fn hash(&self, col: u32) -> u64 {
+        self.hashes[col as usize]
     }
 
     /// Look up an existing feature.
@@ -93,15 +102,21 @@ impl FeatureVocab {
         self.syms.is_empty()
     }
 
-    /// Approximate retained heap bytes (arena + spans + index).
+    /// Approximate retained heap bytes (arena + spans + index + per-name
+    /// modality tags and hashes).
     pub fn heap_bytes(&self) -> usize {
-        self.syms.heap_bytes() + self.modality.capacity()
+        self.syms.heap_bytes()
+            + self.modality.capacity()
+            + self.hashes.capacity() * std::mem::size_of::<u64>()
     }
 }
 
-/// Sort a raw emission row by column id and keep the first occurrence of
-/// each id — the same first-wins presence semantics the per-candidate rows
-/// have always had.
+/// Sort a raw emission row by column id and keep one entry per id — the
+/// presence semantics of a feature row. Among entries sharing an id, which
+/// one's modality tag survives is deterministic but unspecified: the
+/// unstable sort keeps the first occurrence only in short rows. Tags under
+/// one id differ only when distinct names collide in a hashed bucket, so
+/// only hashing mode's per-row modality tallies can tell.
 pub(crate) fn dedup_row(row: &mut Vec<(u32, u8)>) {
     row.sort_unstable_by_key(|&(id, _)| id);
     row.dedup_by_key(|&mut (id, _)| id);
@@ -116,12 +131,6 @@ enum Encoder<'a> {
         base: &'a ShardedInterner,
         delta: &'a mut FeatureVocab,
     },
-    /// Document-shard worker: intern *every* name into a shard-local delta
-    /// vocabulary (ids tagged with [`DELTA_BIT`]). The "empty base" case of
-    /// `Shared`, without probing a base table — produces self-contained
-    /// per-document shards whose local ids an input-order merge remaps to
-    /// global columns.
-    Delta(&'a mut FeatureVocab),
     /// Feature hashing (the vocab-free fast path): bucket by salted hash.
     Hashed { mask: u64 },
     /// Debug/compat: collect fully rendered strings (the seed string path).
@@ -166,13 +175,6 @@ impl<'a> FeatureSink<'a> {
     /// names into `delta` with [`DELTA_BIT`]-tagged local ids.
     pub(crate) fn shared(base: &'a ShardedInterner, delta: &'a mut FeatureVocab) -> Self {
         Self::with_encoder(Encoder::Shared { base, delta })
-    }
-
-    /// Sink for a self-contained document shard: interns every name into
-    /// `delta` with [`DELTA_BIT`]-tagged local ids, so shards carry their
-    /// own first-occurrence-ordered vocabulary and need no shared base.
-    pub(crate) fn delta(delta: &'a mut FeatureVocab) -> Self {
-        Self::with_encoder(Encoder::Delta(delta))
     }
 
     /// Vocab-free feature-hashing sink with `1 << bits` buckets.
@@ -251,10 +253,6 @@ impl<'a> FeatureSink<'a> {
                     Some(id) => id,
                     None => delta.intern_hashed(h, &self.scratch) | DELTA_BIT,
                 }
-            }
-            Encoder::Delta(delta) => {
-                let h = fnv1a64(self.scratch.as_bytes());
-                delta.intern_hashed(h, &self.scratch) | DELTA_BIT
             }
             Encoder::Hashed { mask } => {
                 ((fnv1a64(self.scratch.as_bytes()) ^ FEATURE_HASH_SALT) & *mask) as u32
@@ -440,10 +438,28 @@ mod tests {
     }
 
     #[test]
-    fn dedup_row_keeps_first_occurrence() {
+    fn dedup_row_keeps_one_sorted_entry_per_id() {
         let mut row = vec![(5, 1), (2, 0), (5, 3), (2, 2), (9, 4)];
         dedup_row(&mut row);
         assert_eq!(row, vec![(2, 0), (5, 1), (9, 4)]);
+
+        // Past 20 entries the unstable sort no longer keeps the first
+        // occurrence; the contract is one entry per id, sorted, with a tag
+        // that one of that id's entries carried, the same on every call.
+        let raw: Vec<(u32, u8)> = (0..120u32).map(|i| ((i * 7) % 23, (i % 5) as u8)).collect();
+        let mut row = raw.clone();
+        dedup_row(&mut row);
+        let ids: Vec<u32> = row.iter().map(|&(id, _)| id).collect();
+        assert_eq!(ids, (0..23).collect::<Vec<u32>>());
+        for &(id, m) in &row {
+            assert!(
+                raw.contains(&(id, m)),
+                "tag {m} never emitted under id {id}"
+            );
+        }
+        let mut again = raw;
+        dedup_row(&mut again);
+        assert_eq!(again, row);
     }
 
     #[test]

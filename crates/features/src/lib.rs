@@ -28,7 +28,7 @@ pub mod unary;
 
 pub use binary::{binary_features, binary_features_into};
 pub use config::FeatureConfig;
-pub use featurizer::{CacheStats, DocFeatureShard, FeatureSet, FeatureShardMerger, Featurizer};
+pub use featurizer::{merge_shards, CacheStats, DocFeatureShard, FeatureSet, Featurizer};
 pub use intern::{FeatureSink, FeatureVocab, ShardedInterner};
 pub use modality::{modality_index, modality_of, MODALITIES};
 pub use sparse::{CooMatrix, CsrMatrix, LilMatrix, SparseAccess};

@@ -124,6 +124,19 @@ impl CsrMatrix {
         }
     }
 
+    /// Assemble a matrix from its three arrays (`indptr` starts at 0 and
+    /// ends at `indices.len()`; each row's ids sorted and deduplicated).
+    pub(crate) fn from_parts(indptr: Vec<u32>, indices: Vec<u32>, data: Vec<f32>) -> Self {
+        debug_assert_eq!(indptr.first(), Some(&0));
+        debug_assert_eq!(*indptr.last().unwrap() as usize, indices.len());
+        debug_assert_eq!(indices.len(), data.len());
+        Self {
+            indptr,
+            indices,
+            data,
+        }
+    }
+
     /// Append a presence-valued (1.0) row of already sorted, deduplicated
     /// column ids — the featurizer's hot path.
     pub fn push_ids<I: IntoIterator<Item = u32>>(&mut self, ids: I) -> usize {
