@@ -515,7 +515,10 @@ fn bench_session(results: &mut Vec<BenchResult>) {
 /// (which never fails rows it has no baseline for). The committed
 /// `BENCH_micro.json` rows give 132.1 / 20.9 ms = 6.3×.
 /// Downstream train/infer are excluded on both sides: they are unchanged
-/// by sharding and would only dilute the measured increment.
+/// by sharding and would only dilute the measured increment. Every
+/// `session/cold_512` iteration opens a new session over the same corpus,
+/// whose entries memoize their content hashes, so after the warm-up
+/// iteration the row no longer hashes documents.
 fn bench_incremental(results: &mut Vec<BenchResult>) {
     let n_docs = 512;
     let ds = Domain::Electronics.generate(n_docs, 7);

@@ -47,6 +47,13 @@
 //! downstream train/infer re-run. [`recomputed_docs`](PipelineSession::recomputed_docs)
 //! reports how many documents actually recomputed in the last traversal.
 //!
+//! The first mutation copies the borrowed corpus's document list, not its
+//! documents: a [`Corpus`] stores each document behind an `Arc`, so the
+//! session's copy shares every document the caller holds, and only the
+//! upserted one is new. The shard keys read each document's content hash
+//! from the corpus's per-entry memo, so a document is hashed once per
+//! corpus, however many sessions open over it.
+//!
 //! A label shard is keyed by the extractor alone and holds one vote column
 //! per LF identity plus the gold flags of the document's candidates. An LF
 //! edit therefore votes only the LFs a document's shard has not seen: a
@@ -382,11 +389,11 @@ fn hash_parts(tag: &str, parts: &[u64]) -> u64 {
 pub struct PipelineSession<'a> {
     /// Copy-on-write corpus: borrowed until the first
     /// [`upsert_document`](Self::upsert_document) /
-    /// [`remove_document`](Self::remove_document), owned after.
+    /// [`remove_document`](Self::remove_document), owned after. The owned
+    /// copy shares every document it did not replace with the borrowed one;
+    /// its memoized content hashes are the shard-key half that tracks
+    /// corpus mutations.
     corpus: Cow<'a, Corpus>,
-    /// `doc_hashes[i]` is the content hash of document `i` — the shard-key
-    /// half that tracks corpus mutations (kept in sync with `corpus`).
-    doc_hashes: Vec<u64>,
     gold: &'a GoldKb,
     extractor: &'a CandidateExtractor,
     lfs: &'a [LabelingFunction],
@@ -470,12 +477,16 @@ impl<'a> PipelineSession<'a> {
         // global debug server, making every session (and run_task caller)
         // scrapeable with zero code changes. No-op when unset.
         fonduer_obsd::activate_from_env();
-        let doc_hashes = corpus.iter().map(|(_, d)| d.content_hash()).collect();
+        // Every stage key folds in every document's content hash: fill the
+        // corpus's memos here, so stages start hashed. A later session over
+        // the same corpus finds them filled.
+        for id in corpus.doc_ids() {
+            corpus.content_hash(id);
+        }
         let mut shards = ShardStore::new();
         shards.resize_for(corpus.len());
         Self {
             corpus: Cow::Borrowed(corpus),
-            doc_hashes,
             gold,
             extractor,
             lfs,
@@ -582,6 +593,9 @@ impl<'a> PipelineSession<'a> {
     /// upsert whose content is byte-identical to the existing document is a
     /// no-op for caching (the content hash is unchanged).
     ///
+    /// The first mutation copies the borrowed corpus's document list; the
+    /// copy shares every other document with the caller's corpus.
+    ///
     /// Errors with [`Error::DuplicateDocId`] when more than one existing
     /// document already carries the name (there is no unique document to
     /// replace).
@@ -593,36 +607,33 @@ impl<'a> PipelineSession<'a> {
                 count,
             });
         }
-        let hash = doc.content_hash();
-        match self.corpus.index_of(&doc.name) {
+        let id = match self.corpus.index_of(&doc.name) {
             Some(id) => {
                 self.corpus.to_mut().replace(id, doc);
-                self.doc_hashes[id.index()] = hash;
-                Ok(id)
+                id
             }
-            None => {
-                let id = self.corpus.to_mut().add(doc);
-                self.doc_hashes.push(hash);
-                Ok(id)
-            }
-        }
+            None => self.corpus.to_mut().add(doc),
+        };
+        // Hash the new content with the mutation, not in the next stage.
+        self.corpus.content_hash(id);
+        Ok(id)
     }
 
-    /// Remove the document at `id`, returning it. Later documents shift
+    /// Remove the document at `id`, returning it (still shared with the
+    /// caller's corpus when the session borrowed it). Later documents shift
     /// down one position — shards are content-keyed, so their cached work
     /// survives the shift and the next run recomputes nothing but the
     /// merge + downstream stages.
     ///
     /// Errors with [`Error::DocNotFound`] when `id` is past the end of the
     /// corpus.
-    pub fn remove_document(&mut self, id: DocId) -> Result<Document, Error> {
+    pub fn remove_document(&mut self, id: DocId) -> Result<Arc<Document>, Error> {
         if id.index() >= self.corpus.len() {
             return Err(Error::DocNotFound {
                 doc: id,
                 n_docs: self.corpus.len(),
             });
         }
-        self.doc_hashes.remove(id.index());
         Ok(self.corpus.to_mut().remove(id))
     }
 
@@ -751,7 +762,12 @@ impl<'a> PipelineSession<'a> {
     /// upserts/removals dirty the monolithic artifacts (shards below then
     /// make the recompute cheap).
     fn corpus_key(&self) -> u64 {
-        hash_parts("corpus", &self.doc_hashes)
+        let hashes: Vec<u64> = self
+            .corpus
+            .doc_ids()
+            .map(|id| self.corpus.content_hash(id))
+            .collect();
+        hash_parts("corpus", &hashes)
     }
 
     fn candidates_key(&self) -> u64 {
@@ -849,7 +865,6 @@ impl<'a> PipelineSession<'a> {
         let corpus: &Corpus = &self.corpus;
         let extractor = self.extractor;
         let n_threads = self.cfg.n_threads;
-        let doc_hashes = &self.doc_hashes;
         let cache = &mut self.shards.candidates;
         let recomputed = &mut self.recomputed;
         let (value, took) = progress_stage("candgen", || {
@@ -862,10 +877,11 @@ impl<'a> PipelineSession<'a> {
                 let plan = {
                     let _span = observe::span("extract_corpus");
                     let time_docs = observe::doc_timings_enabled();
-                    let mut plan: Vec<Option<Arc<Vec<Candidate>>>> = (0..n)
-                        .map(|i| {
+                    let mut plan: Vec<Option<Arc<Vec<Candidate>>>> = corpus
+                        .doc_ids()
+                        .map(|id| {
                             cache.get(ShardKey {
-                                doc_hash: doc_hashes[i],
+                                doc_hash: corpus.content_hash(id),
                                 config: cfg_fp,
                             })
                         })
@@ -887,7 +903,7 @@ impl<'a> PipelineSession<'a> {
                             let shard = Arc::new(cands);
                             cache.insert(
                                 ShardKey {
-                                    doc_hash: doc_hashes[id.index()],
+                                    doc_hash: corpus.content_hash(id),
                                     config: cfg_fp,
                                 },
                                 Arc::clone(&shard),
@@ -979,7 +995,6 @@ impl<'a> PipelineSession<'a> {
         let featurizer = Featurizer::new(self.cfg.features);
         let hashing_bits = self.cfg.features.hashing_bits;
         let n_threads = self.cfg.n_threads;
-        let doc_hashes = &self.doc_hashes;
         let cache = &mut self.shards.features;
         let recomputed = &mut self.recomputed;
         let (feats, took) = progress_stage("featurize", || {
@@ -990,10 +1005,11 @@ impl<'a> PipelineSession<'a> {
                 let plan = {
                     let _span = observe::span("featurize_corpus");
                     let time_docs = observe::doc_timings_enabled();
-                    let mut plan: Vec<Option<Arc<DocFeatureShard>>> = (0..n)
-                        .map(|i| {
+                    let mut plan: Vec<Option<Arc<DocFeatureShard>>> = corpus
+                        .doc_ids()
+                        .map(|id| {
                             cache.get(ShardKey {
-                                doc_hash: doc_hashes[i],
+                                doc_hash: corpus.content_hash(id),
                                 config: cfg_fp,
                             })
                         })
@@ -1030,7 +1046,7 @@ impl<'a> PipelineSession<'a> {
                             let shard = Arc::new(shard);
                             cache.insert(
                                 ShardKey {
-                                    doc_hash: doc_hashes[i],
+                                    doc_hash: corpus.content_hash(DocId::from_usize(i)),
                                     config: cfg_fp,
                                 },
                                 Arc::clone(&shard),
@@ -1120,7 +1136,6 @@ impl<'a> PipelineSession<'a> {
         let shared_lf_names = &self.shared_lf_names;
         let gen_opts = &self.cfg.gen_opts;
         let n_threads = self.cfg.n_threads;
-        let doc_hashes = &self.doc_hashes;
         let cache = &mut self.shards.labels;
         let recomputed = &mut self.recomputed;
         let ((label_matrix, train_idx, train_gold, train_marginals, label_coverage), took) =
@@ -1136,7 +1151,7 @@ impl<'a> PipelineSession<'a> {
                         let _span = observe::span("lf_apply");
                         let time_docs = observe::doc_timings_enabled();
                         let key = |i: usize| ShardKey {
-                            doc_hash: doc_hashes[i],
+                            doc_hash: corpus.content_hash(DocId::from_usize(i)),
                             config: cfg_fp,
                         };
                         // One lookup per document: a shard answers for

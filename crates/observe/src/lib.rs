@@ -156,6 +156,9 @@ mod tests {
     /// is release-gated; debug builds still run the loop for coverage.
     #[test]
     fn counter_increment_under_1us() {
+        // Another test's `reset()` between the two loops would detach the
+        // handle from the registry and halve the read-back below.
+        let _l = test_lock();
         let c = Counter::named("perf_t.counter");
         const N: u64 = 1_000_000;
         let start = std::time::Instant::now();

@@ -257,6 +257,7 @@ mod tests {
 
     #[test]
     fn jsonl_lines_are_balanced_objects() {
+        let _l = crate::test_lock();
         crate::counter("report_t.counter", 3);
         crate::gauge_set("report_t.gauge", 0.5);
         crate::hist_record("report_t.hist", 120);
@@ -285,6 +286,7 @@ mod tests {
     /// one parseable JSON object per line.
     #[test]
     fn jsonl_survives_hostile_metric_names() {
+        let _l = crate::test_lock();
         let hostile = "evil\"quote\\back\nnewline\tand\u{1}ctl";
         crate::counter(hostile, 9);
         crate::gauge_set(hostile, 1.5);
@@ -303,6 +305,7 @@ mod tests {
 
     #[test]
     fn human_report_mentions_all_sections() {
+        let _l = crate::test_lock();
         crate::counter("report_h.counter", 1);
         crate::gauge_set("report_h.gauge", 2.0);
         crate::hist_record("report_h.hist", 10);

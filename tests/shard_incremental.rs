@@ -136,6 +136,45 @@ fn warm_upsert_recomputes_exactly_one_document() {
     assert_eq!(stats.evicts, 0, "capacity covers the corpus");
 }
 
+/// The first upsert over a borrowed corpus copies its document list, not
+/// its documents: every untouched document of the session's corpus is the
+/// caller's own, and the caller's corpus still holds the old edition of
+/// the upserted document.
+#[test]
+fn first_upsert_shares_untouched_documents_with_the_caller() {
+    let ds = dataset(16, 7);
+    let extractor = electronics::extractor(&ds, RELATION, ContextScope::Document);
+    let lfs = electronics::lfs(RELATION);
+    let mut s = session(&ds, &extractor, &lfs);
+    s.featurize().expect("cold featurize");
+
+    let upserted = DocId::from_usize(5);
+    let old_hash = ds.corpus.doc(upserted).content_hash();
+    let revised = dataset(16, 8).corpus.doc(upserted).clone();
+    let new_hash = revised.content_hash();
+    assert_ne!(old_hash, new_hash, "the revision must change the content");
+    let id = s.upsert_document(revised).expect("name is unique");
+    assert_eq!(id, upserted, "same name replaces in place");
+
+    for (i, doc) in ds.corpus.iter() {
+        if i != id {
+            assert!(
+                std::ptr::eq(s.corpus().doc(i), doc),
+                "document {i:?} was copied by the first upsert"
+            );
+        }
+    }
+    assert_eq!(ds.corpus.doc(id).content_hash(), old_hash);
+    assert_eq!(ds.corpus.content_hash(id), old_hash);
+    assert_eq!(s.corpus().content_hash(id), new_hash);
+    s.featurize().expect("warm featurize");
+    assert_eq!(
+        s.recomputed_docs(),
+        1,
+        "only the upserted document recomputes"
+    );
+}
+
 /// Removing a document shifts every later `DocId`; the mutated session
 /// must produce exactly what a fresh session over the shrunken corpus
 /// produces.
