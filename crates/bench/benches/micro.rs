@@ -823,9 +823,9 @@ fn baseline_ns(json: &str, name: &str) -> f64 {
 /// the parse+tokenize path. Raw wall-clock comparisons across hosts are
 /// meaningless, so drift is normalized out first: the geometric mean of
 /// current/baseline on two rows the rewrite does not touch
-/// (`observe/span_overhead`, `supervision/generative_fit`) estimates how
-/// much of any change is just the machine, and the speedup is measured
-/// against the drift-scaled baseline.
+/// (`observe/span_overhead`, `tensor/gemv`; the same sentinels as
+/// `bench_smoke`) estimates how much of any change is just the machine,
+/// and the speedup is measured against the drift-scaled baseline.
 fn assert_ingest_speedup(results: &[BenchResult]) {
     let frozen = include_str!("../../../BENCH_pre_arena.json");
     let cur = |name: &str| -> f64 {
@@ -836,7 +836,7 @@ fn assert_ingest_speedup(results: &[BenchResult]) {
             .ns_per_iter
     };
     let drift = ((cur("observe/span_overhead") / baseline_ns(frozen, "observe/span_overhead"))
-        * (cur("supervision/generative_fit") / baseline_ns(frozen, "supervision/generative_fit")))
+        * (cur("tensor/gemv") / baseline_ns(frozen, "tensor/gemv")))
     .sqrt();
     let speedup = |name: &str| baseline_ns(frozen, name) * drift / cur(name);
     let tok = speedup("nlp/tokenize");

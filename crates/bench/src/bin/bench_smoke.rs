@@ -18,19 +18,23 @@
 //! 512-document session re-votes one column, not the whole library), and
 //! since the feature-shard merge stopped re-hashing names and re-sorting
 //! rows also `session/shard_merge*` (the corpus-level merge every upsert
-//! runs, in hashing mode and in the interned mode sessions default to).
+//! runs, in hashing mode and in the interned mode sessions default to), and
+//! since the label model refits over a per-LF log table and distinct vote
+//! rows also `supervision/generative_fit`.
 //!
 //! The gate normalizes for host drift first: PR 6's baseline regeneration
 //! showed untouched rows moving +25–70% purely from CI-host slowdown.
-//! `observe/span_overhead` and `supervision/generative_fit` act as
-//! sentinels — rows no recent PR touches (the former is a few atomic ops,
-//! the latter pure scalar math far from the ingest and training paths) —
-//! and the geometric mean of their cur/base ratios estimates the host's
-//! drift factor. (They replaced `nlp/tokenize`/`parser/parse_document`,
-//! which the arena+SIMD ingest rewrite deliberately changed: a sentinel
-//! must be a row whose true cost is expected constant, and those two got
-//! ~2–10x faster on purpose, which would have read as a bogus 'host got
-//! faster' signal and masked real regressions elsewhere.) Watched rows are
+//! `observe/span_overhead` and `tensor/gemv` act as sentinels — rows
+//! whose code no recent change touches (the former is a few atomic ops,
+//! the latter the 64×16 gate matmul, compute-bound like the ingest rows
+//! and far from the supervision path) — and the geometric mean of their
+//! cur/base ratios estimates the host's drift factor. A sentinel must be a row whose true
+//! cost is expected constant, so a row that a change speeds up on purpose
+//! stops being one: it would read as a bogus 'host got faster' signal and
+//! flag every untouched row. That retired `nlp/tokenize` and
+//! `parser/parse_document` (the arena+SIMD ingest rewrite made them ~2–10x
+//! faster) and later `supervision/generative_fit` (the O(votes) refit made
+//! it ~3–4x faster); each became a watched row instead. Watched rows are
 //! divided by that factor before the threshold applies, so the gate
 //! measures *relative* regressions, not the weather on the CI host. The
 //! factor is clamped to [0.25, 4.0]; drift beyond that means the sentinels
@@ -44,7 +48,7 @@
 
 use fonduer_observe::json;
 
-const WATCH_PREFIXES: [&str; 11] = [
+const WATCH_PREFIXES: [&str; 12] = [
     "candidates/",
     "datamodel/",
     "features/featurize/",
@@ -56,9 +60,10 @@ const WATCH_PREFIXES: [&str; 11] = [
     "parser/",
     "session/lf_edit",
     "session/shard_merge",
+    "supervision/generative_fit",
 ];
 /// Rows untouched by recent perf work, used to estimate host drift.
-const SENTINELS: [&str; 2] = ["observe/span_overhead", "supervision/generative_fit"];
+const SENTINELS: [&str; 2] = ["observe/span_overhead", "tensor/gemv"];
 const DEFAULT_MAX_REGRESSION_PCT: f64 = 25.0;
 /// Drift clamp: beyond 4× in either direction the sentinels themselves
 /// are suspect and the gate stops extrapolating.

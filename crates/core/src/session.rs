@@ -81,7 +81,7 @@ use fonduer_nlp::{fnv1a, HashedVocab};
 use fonduer_observe as observe;
 use fonduer_observe::{MentionProvenance, ProvenanceMeta, ProvenanceRecord};
 use fonduer_supervision::{
-    GenerativeModel, GenerativeOptions, LabelMatrix, LabelingFunction, LfDiagnostics,
+    GenerativeModel, GenerativeOptions, LabelMatrix, LabelVotes, LabelingFunction, LfDiagnostics,
 };
 use fonduer_synth::GoldKb;
 use shard_cache::{ShardCache, ShardCacheSummary, ShardKey};
@@ -1138,7 +1138,7 @@ impl<'a> PipelineSession<'a> {
         let n_threads = self.cfg.n_threads;
         let cache = &mut self.shards.labels;
         let recomputed = &mut self.recomputed;
-        let ((label_matrix, train_idx, train_gold, train_marginals, label_coverage), took) =
+        let ((label_matrix, train_idx, train_marginals, label_coverage, lf_diagnostics), took) =
             progress_stage("supervise", || {
                 observe::timed("supervise", || {
                     let library = lf_identities(lfs, shared_lf_names);
@@ -1261,27 +1261,29 @@ impl<'a> PipelineSession<'a> {
                         train_idx.extend(lo as usize..hi as usize);
                         train_gold.extend_from_slice(&shard.gold);
                     }
-                    label_matrix.record_vote_counters();
-                    let gen = GenerativeModel::fit(&label_matrix, gen_opts);
-                    let train_marginals = gen.predict(&label_matrix);
-                    let label_coverage = label_matrix.total_coverage();
+                    // One pass over Λ feeds the vote counters, the label
+                    // model, the coverage gauge and the LF error-analysis
+                    // table (empirical accuracy when gold is known).
+                    let votes = LabelVotes::new(&label_matrix);
+                    votes.record_vote_counters();
+                    let (_, train_marginals) = GenerativeModel::fit_votes(&votes, gen_opts);
+                    let label_coverage = votes.total_coverage();
+                    let lf_names: Vec<String> = lfs.iter().map(|lf| lf.name.clone()).collect();
+                    let lf_diagnostics = LfDiagnostics::from_votes(
+                        &lf_names,
+                        &votes,
+                        (!gold.is_empty()).then_some(train_gold.as_slice()),
+                    );
                     (
                         label_matrix,
                         train_idx,
-                        train_gold,
                         train_marginals,
                         label_coverage,
+                        lf_diagnostics,
                     )
                 })
             });
         observe::gauge_set("supervision.label_coverage", label_coverage);
-        // LF error-analysis table (empirical accuracy when gold is known).
-        let lf_names: Vec<String> = lfs.iter().map(|lf| lf.name.clone()).collect();
-        let lf_diagnostics = LfDiagnostics::compute(
-            &lf_names,
-            &label_matrix,
-            (!self.gold.is_empty()).then_some(train_gold.as_slice()),
-        );
         lf_diagnostics.publish_gauges();
         self.timings.supervise = took;
         self.supervision = Some(Cached {

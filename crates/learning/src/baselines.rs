@@ -52,6 +52,25 @@ impl LogRegModel {
         self.store.p(self.b)[0]
             + fonduer_tensor::sparse_dot(self.store.p(self.w), input.features.ids())
     }
+
+    /// One Adam step on one sample; returns its loss. Gradients must be
+    /// zero on entry, and are again on return: `adam_step` consumes them.
+    fn step(&mut self, input: &CandidateInput, target: f32) -> f32 {
+        let z = self.logit(input);
+        let (loss, dz) = bce_with_logit(z, target);
+        fonduer_tensor::sparse_add(self.store.grad_mut(self.w), input.features.ids(), dz);
+        self.store.grad_mut(self.b)[0] += dz;
+        self.store.adam_step(self.lr, Some(5.0));
+        loss
+    }
+}
+
+/// Fisher–Yates shuffle of `order` in place.
+fn shuffle(rng: &mut StdRng, order: &mut [usize]) {
+    for i in 0..order.len() {
+        let j = rng.gen_range(i..order.len());
+        order.swap(i, j);
+    }
 }
 
 impl ProbClassifier for LogRegModel {
@@ -63,24 +82,14 @@ impl ProbClassifier for LogRegModel {
         let steps = fonduer_observe::Counter::named("train.steps");
         let mut rng = StdRng::seed_from_u64(self.seed ^ 0xbeef);
         let mut order: Vec<usize> = (0..inputs.len()).collect();
+        // One zeroing for the whole fit: each step's `adam_step` zeroes the
+        // gradients it reads.
+        self.store.zero_grad();
         for _ in 0..self.epochs {
-            for i in 0..order.len() {
-                let j = rng.gen_range(i..order.len());
-                order.swap(i, j);
-            }
+            shuffle(&mut rng, &mut order);
             let mut epoch_loss = 0.0f64;
             for &i in &order {
-                self.store.zero_grad();
-                let z = self.logit(&inputs[i]);
-                let (loss, dz) = bce_with_logit(z, targets[i]);
-                epoch_loss += loss as f64;
-                fonduer_tensor::sparse_add(
-                    self.store.grad_mut(self.w),
-                    inputs[i].features.ids(),
-                    dz,
-                );
-                self.store.grad_mut(self.b)[0] += dz;
-                self.store.adam_step(self.lr, Some(5.0));
+                epoch_loss += self.step(&inputs[i], targets[i]) as f64;
             }
             steps.add(order.len() as u64);
             fonduer_observe::counter("train.epochs", 1);
@@ -138,36 +147,40 @@ impl DocRnnModel {
         assert_eq!(seqs.len(), targets.len());
         let mut rng = StdRng::seed_from_u64(self.cfg.seed ^ 0xd0c);
         let mut order: Vec<usize> = (0..seqs.len()).collect();
-        for i in 0..order.len() {
-            let j = rng.gen_range(i..order.len());
-            order.swap(i, j);
-        }
+        shuffle(&mut rng, &mut order);
+        // One zeroing for the whole epoch: each step's `adam_step` zeroes
+        // the gradients it reads.
+        self.store.zero_grad();
         let mut total = 0.0f32;
         for &i in &order {
-            self.store.zero_grad();
-            let toks = &seqs[i];
-            let xs: Vec<Vec<f32>> = toks
-                .iter()
-                .map(|&t| self.emb.forward(&self.store, t as usize))
-                .collect();
-            let (hs, lc) = self.bilstm.forward_seq(&self.store, &xs);
-            let (t, ac) = self.attn.forward(&self.store, &hs);
-            let z = self.out.forward(&self.store, &t)[0];
-            let (loss, dz) = bce_with_logit(z, targets[i]);
-            total += loss;
-            let dt = self.out.backward(&mut self.store, &t, &[dz]);
-            let dhs = self.attn.backward(&mut self.store, &ac, &dt);
-            let dxs = self.bilstm.backward_seq(&mut self.store, &lc, &dhs);
-            for (k, &tok) in toks.iter().enumerate() {
-                self.emb.backward(&mut self.store, tok as usize, &dxs[k]);
-            }
-            self.store.adam_step(self.cfg.lr, Some(self.cfg.clip));
+            total += self.step(&seqs[i], targets[i]);
         }
         let mean = total / seqs.len().max(1) as f32;
         fonduer_observe::counter("train.epochs", 1);
         fonduer_observe::counter("train.steps", seqs.len() as u64);
         fonduer_observe::gauge_set("train.epoch_loss", mean as f64);
         mean
+    }
+
+    /// One Adam step on one document; returns its loss. Gradients must be
+    /// zero on entry, and are again on return: `adam_step` consumes them.
+    fn step(&mut self, toks: &[u32], target: f32) -> f32 {
+        let xs: Vec<Vec<f32>> = toks
+            .iter()
+            .map(|&t| self.emb.forward(&self.store, t as usize))
+            .collect();
+        let (hs, lc) = self.bilstm.forward_seq(&self.store, &xs);
+        let (t, ac) = self.attn.forward(&self.store, &hs);
+        let z = self.out.forward(&self.store, &t)[0];
+        let (loss, dz) = bce_with_logit(z, target);
+        let dt = self.out.backward(&mut self.store, &t, &[dz]);
+        let dhs = self.attn.backward(&mut self.store, &ac, &dt);
+        let dxs = self.bilstm.backward_seq(&mut self.store, &lc, &dhs);
+        for (k, &tok) in toks.iter().enumerate() {
+            self.emb.backward(&mut self.store, tok as usize, &dxs[k]);
+        }
+        self.store.adam_step(self.cfg.lr, Some(self.cfg.clip));
+        loss
     }
 
     /// Train for the configured number of epochs.
@@ -217,6 +230,58 @@ mod tests {
         // The discriminative features got opposite-sign weights.
         let w = m.store.p(m.w);
         assert!(w[0] > 0.5 && w[1] < -0.5, "{w:?}");
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn one_zero_grad_per_fit_keeps_every_weight() {
+        // The loops as they were: `zero_grad` before every step.
+        let (inputs, targets) = feature_dataset(40);
+        let mut fitted = LogRegModel::new(3, 9);
+        fitted.fit(&inputs, &targets);
+        let mut reference = LogRegModel::new(3, 9);
+        let mut rng = StdRng::seed_from_u64(reference.seed ^ 0xbeef);
+        let mut order: Vec<usize> = (0..inputs.len()).collect();
+        for _ in 0..reference.epochs {
+            shuffle(&mut rng, &mut order);
+            for &i in &order {
+                reference.store.zero_grad();
+                reference.step(&inputs[i], targets[i]);
+            }
+        }
+        for id in [fitted.w, fitted.b] {
+            assert_eq!(bits(fitted.store.p(id)), bits(reference.store.p(id)));
+        }
+
+        let seqs: Vec<Vec<u32>> = (0..12u32).map(|i| vec![1, 2 + i % 5, 7, 3]).collect();
+        let targets: Vec<f32> = (0..12).map(|i| (i % 3) as f32 / 2.0).collect();
+        let cfg = ModelConfig {
+            epochs: 2,
+            ..Default::default()
+        };
+        let mut trained = DocRnnModel::new(cfg.clone(), 12);
+        trained.fit_docs(&seqs, &targets);
+        let mut reference = DocRnnModel::new(cfg, 12);
+        for _ in 0..2 {
+            let mut rng = StdRng::seed_from_u64(reference.cfg.seed ^ 0xd0c);
+            let mut order: Vec<usize> = (0..seqs.len()).collect();
+            shuffle(&mut rng, &mut order);
+            for &i in &order {
+                reference.store.zero_grad();
+                reference.step(&seqs[i], targets[i]);
+            }
+        }
+        // Every weight feeds the output, so equal outputs on every
+        // sequence pin the trained parameters.
+        for s in &seqs {
+            assert_eq!(
+                trained.predict_doc(s).to_bits(),
+                reference.predict_doc(s).to_bits()
+            );
+        }
     }
 
     #[test]

@@ -6,10 +6,15 @@
 //! Gold arrives as a plain `&[bool]` (one flag per candidate row) so this
 //! module stays decoupled from any particular gold-KB representation;
 //! `fonduer-core` adapts its `GoldKb` into that slice.
+//!
+//! The table comes from one pass over Λ's votes ([`LabelVotes`]): a row's
+//! vote tally says whether each of its votes overlaps or conflicts, so
+//! every column is an integer count over votes, and each ratio equals the
+//! per-column [`LabelMatrix`] metric bit for bit.
 
 use std::fmt::Write as _;
 
-use crate::matrix::LabelMatrix;
+use crate::matrix::{LabelMatrix, LabelVotes};
 
 /// Diagnostics for one labeling function.
 #[derive(Debug, Clone, PartialEq)]
@@ -18,11 +23,12 @@ pub struct LfDiagnosticsRow {
     pub name: String,
     /// Fraction of candidates the LF labels (non-abstain).
     pub coverage: f64,
-    /// Fraction of candidates it labels that at least one other LF also
-    /// labels.
+    /// Candidates that it and at least one other LF both label, as a
+    /// fraction of *all* candidates (Snorkel's denominator), not of the
+    /// candidates it labels.
     pub overlap: f64,
-    /// Fraction of candidates where its label disagrees with another LF's
-    /// non-zero label.
+    /// Candidates where its label disagrees with another LF's non-zero
+    /// label, as a fraction of *all* candidates.
     pub conflict: f64,
     /// Number of `+1` votes.
     pub positives: usize,
@@ -52,58 +58,64 @@ impl LfDiagnostics {
     /// hold one flag per matrix row (`true` = the candidate is a gold
     /// tuple) and enables the accuracy columns.
     pub fn compute(names: &[String], matrix: &LabelMatrix, gold: Option<&[bool]>) -> Self {
+        Self::from_votes(names, &LabelVotes::new(matrix), gold)
+    }
+
+    /// [`Self::compute`] over Λ's vote index, in O(votes).
+    pub fn from_votes(names: &[String], votes: &LabelVotes, gold: Option<&[bool]>) -> Self {
         assert_eq!(
             names.len(),
-            matrix.n_cols(),
+            votes.n_cols(),
             "one name per label-matrix column"
         );
         if let Some(g) = gold {
-            assert_eq!(g.len(), matrix.n_rows(), "one gold flag per candidate");
+            assert_eq!(g.len(), votes.n_rows(), "one gold flag per candidate");
         }
+        // Per LF: [+1 votes, −1 votes, overlapping, conflicting, correct].
+        let mut counts = vec![[0usize; 5]; names.len()];
+        for i in 0..votes.n_rows() {
+            let (pos, neg) = votes.tally(i);
+            for &(j, v) in votes.row(i) {
+                let c = &mut counts[j as usize];
+                c[2] += usize::from(pos + neg > 1);
+                let (polarity, other_sign, agrees) = if v == 1 {
+                    (0, neg, gold.is_some_and(|g| g[i]))
+                } else {
+                    (1, pos, gold.is_some_and(|g| !g[i]))
+                };
+                c[polarity] += 1;
+                c[3] += usize::from(other_sign > 0);
+                c[4] += usize::from(agrees);
+            }
+        }
+        let n = votes.n_rows();
+        let ratio = |k: usize| if n == 0 { 0.0 } else { k as f64 / n as f64 };
         let rows = names
             .iter()
-            .enumerate()
-            .map(|(j, name)| {
-                let mut positives = 0usize;
-                let mut negatives = 0usize;
-                let mut correct = 0usize;
-                for i in 0..matrix.n_rows() {
-                    match matrix.get(i, j) {
-                        1 => {
-                            positives += 1;
-                            if gold.is_some_and(|g| g[i]) {
-                                correct += 1;
-                            }
-                        }
-                        -1 => {
-                            negatives += 1;
-                            if gold.is_some_and(|g| !g[i]) {
-                                correct += 1;
-                            }
-                        }
-                        _ => {}
+            .zip(&counts)
+            .map(
+                |(name, &[positives, negatives, overlapping, conflicting, correct])| {
+                    let voted = positives + negatives;
+                    LfDiagnosticsRow {
+                        name: name.clone(),
+                        coverage: ratio(voted),
+                        overlap: ratio(overlapping),
+                        conflict: ratio(conflicting),
+                        positives,
+                        negatives,
+                        correct: gold.map(|_| correct),
+                        empirical_accuracy: match (gold, voted) {
+                            (Some(_), v) if v > 0 => Some(correct as f64 / v as f64),
+                            _ => None,
+                        },
                     }
-                }
-                let voted = positives + negatives;
-                LfDiagnosticsRow {
-                    name: name.clone(),
-                    coverage: matrix.coverage(j),
-                    overlap: matrix.overlap(j),
-                    conflict: matrix.conflict(j),
-                    positives,
-                    negatives,
-                    correct: gold.map(|_| correct),
-                    empirical_accuracy: match (gold, voted) {
-                        (Some(_), v) if v > 0 => Some(correct as f64 / v as f64),
-                        _ => None,
-                    },
-                }
-            })
+                },
+            )
             .collect();
         Self {
             rows,
-            n_candidates: matrix.n_rows(),
-            total_coverage: matrix.total_coverage(),
+            n_candidates: n,
+            total_coverage: votes.total_coverage(),
         }
     }
 

@@ -4,7 +4,8 @@
 //! the from-scratch stand-in for Snorkel:
 //!
 //! * [`lf`] — labeling functions over any modality of the data model;
-//! * [`matrix`] — the label matrix Λ with coverage/overlap/conflict metrics;
+//! * [`matrix`] — the label matrix Λ with coverage/overlap/conflict metrics,
+//!   and its one-pass vote index;
 //! * [`diagnostics`] — the per-LF error-analysis table (coverage, overlap,
 //!   conflict, empirical accuracy vs. gold) users iterate on (§3.3/§5);
 //! * [`model`] — the EM generative model that denoises LF votes into
@@ -28,6 +29,6 @@ pub use active::{
 };
 pub use diagnostics::{LfDiagnostics, LfDiagnosticsRow};
 pub use lf::{filter_by_metadata, LabelingFunction, Modality, ABSTAIN, FALSE, TRUE};
-pub use matrix::LabelMatrix;
+pub use matrix::{LabelMatrix, LabelVotes};
 pub use model::{majority_vote, GenerativeModel, GenerativeOptions};
 pub use user_study::{modality_distribution, LfProcess, ManualProcess};

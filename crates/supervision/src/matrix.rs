@@ -1,6 +1,13 @@
 //! The label matrix Λ ∈ {−1, 0, 1}^{k×l} (paper Appendix A.1) and the LF
 //! quality metrics Fonduer surfaces during iterative development (§3.3:
 //! "coverage, conflict, and overlap").
+//!
+//! [`LabelMatrix`] answers per-column questions by scanning Λ.
+//! [`LabelVotes`] is one row-major pass over Λ that keeps only its votes,
+//! per-row tallies and distinct rows: the label model, the LF diagnostics
+//! and the vote counters read it instead of re-scanning the dense matrix.
+
+use std::collections::HashMap;
 
 use crate::lf::LabelingFunction;
 use fonduer_candidates::CandidateSet;
@@ -152,16 +159,10 @@ impl LabelMatrix {
                 _ => {}
             }
         }
-        let abstain = self.data.len() as u64 - positive - negative;
-        fonduer_observe::counter("supervision.votes.positive", positive);
-        fonduer_observe::counter("supervision.votes.negative", negative);
-        fonduer_observe::counter("supervision.votes.abstain", abstain);
-        fonduer_observe::counter(
-            "supervision.rows_covered",
-            (0..self.n_rows)
-                .filter(|&i| self.row(i).iter().any(|&v| v != 0))
-                .count() as u64,
-        );
+        let rows_covered = (0..self.n_rows)
+            .filter(|&i| self.row(i).iter().any(|&v| v != 0))
+            .count();
+        publish_vote_counters(positive, negative, self.data.len(), rows_covered);
     }
 
     /// Number of candidates.
@@ -214,8 +215,9 @@ impl LabelMatrix {
         nz as f64 / self.n_rows as f64
     }
 
-    /// Overlap of LF `j`: fraction of candidates it labels that at least
-    /// one other LF also labels.
+    /// Overlap of LF `j`: the number of candidates that `j` and at least
+    /// one other LF both label, divided by the number of *all* candidates
+    /// (Snorkel's denominator), not by the candidates `j` labels.
     pub fn overlap(&self, j: usize) -> f64 {
         if self.n_rows == 0 {
             return 0.0;
@@ -229,8 +231,9 @@ impl LabelMatrix {
         both as f64 / self.n_rows as f64
     }
 
-    /// Conflict of LF `j`: fraction of candidates where `j`'s label
-    /// disagrees with another LF's non-zero label.
+    /// Conflict of LF `j`: the number of candidates where `j`'s label
+    /// disagrees with another LF's non-zero label, divided by the number of
+    /// *all* candidates.
     pub fn conflict(&self, j: usize) -> f64 {
         if self.n_rows == 0 {
             return 0.0;
@@ -257,6 +260,149 @@ impl LabelMatrix {
             .filter(|&i| self.row(i).iter().any(|&v| v != 0))
             .count();
         covered as f64 / self.n_rows as f64
+    }
+}
+
+/// Publish the `supervision.votes.*` and `supervision.rows_covered`
+/// counters of a matrix with `cells` cells.
+fn publish_vote_counters(positive: u64, negative: u64, cells: usize, rows_covered: usize) {
+    fonduer_observe::counter("supervision.votes.positive", positive);
+    fonduer_observe::counter("supervision.votes.negative", negative);
+    fonduer_observe::counter(
+        "supervision.votes.abstain",
+        cells as u64 - positive - negative,
+    );
+    fonduer_observe::counter("supervision.rows_covered", rows_covered as u64);
+}
+
+/// The non-abstain votes of a [`LabelMatrix`], row-major, from one pass
+/// over it.
+///
+/// Each row keeps its `(lf, vote)` pairs in column order and its positive
+/// tally, so every per-row and per-LF count (coverage, overlap, conflict,
+/// polarity, majority vote) is O(votes) instead of O(rows × LFs). Rows
+/// with equal votes share a distinct-row id: a posterior depends only on
+/// a row's votes, so the label model computes one per distinct row.
+///
+/// Λ holds only −1, 0 and +1 ([`LabelMatrix::set`] and
+/// [`LabelingFunction::label`] assert it); any non-zero cell is kept as a
+/// vote and any vote other than +1 reads as −1.
+#[derive(Debug, Clone)]
+pub struct LabelVotes {
+    n_rows: usize,
+    n_cols: usize,
+    /// Row `i`'s votes are `votes[starts[i]..starts[i + 1]]`.
+    starts: Vec<usize>,
+    /// `(lf, vote)` for every non-abstain cell, row-major.
+    votes: Vec<(u32, i8)>,
+    /// `+1` votes per row.
+    positives: Vec<u32>,
+    /// Distinct-row id of each row, numbered in first-occurrence order.
+    distinct_id: Vec<u32>,
+    /// The first row of each distinct row.
+    distinct_first: Vec<usize>,
+}
+
+impl LabelVotes {
+    /// Index `l`'s votes in one row-major pass.
+    pub fn new(l: &LabelMatrix) -> Self {
+        let n = l.n_rows;
+        let mut starts = Vec::with_capacity(n + 1);
+        let mut votes = Vec::new();
+        let mut positives = Vec::with_capacity(n);
+        let mut distinct_id = Vec::with_capacity(n);
+        let mut distinct_first = Vec::new();
+        let mut ids: HashMap<&[i8], u32> = HashMap::new();
+        starts.push(0);
+        for i in 0..n {
+            let row = l.row(i);
+            let mut pos = 0u32;
+            for (j, &v) in row.iter().enumerate() {
+                debug_assert!((-1..=1).contains(&v));
+                if v != 0 {
+                    votes.push((j as u32, v));
+                    pos += u32::from(v == 1);
+                }
+            }
+            starts.push(votes.len());
+            positives.push(pos);
+            let next = distinct_first.len() as u32;
+            let id = *ids.entry(row).or_insert(next);
+            if id == next {
+                distinct_first.push(i);
+            }
+            distinct_id.push(id);
+        }
+        Self {
+            n_rows: n,
+            n_cols: l.n_cols,
+            starts,
+            votes,
+            positives,
+            distinct_id,
+            distinct_first,
+        }
+    }
+
+    /// Number of candidates (rows of Λ).
+    pub(crate) fn n_rows(&self) -> usize {
+        self.n_rows
+    }
+
+    /// Number of labeling functions (columns of Λ).
+    pub(crate) fn n_cols(&self) -> usize {
+        self.n_cols
+    }
+
+    /// Row `i`'s `(lf, vote)` pairs in column order.
+    pub(crate) fn row(&self, i: usize) -> &[(u32, i8)] {
+        &self.votes[self.starts[i]..self.starts[i + 1]]
+    }
+
+    /// Row `i`'s `(+1 votes, −1 votes)`.
+    pub(crate) fn tally(&self, i: usize) -> (usize, usize) {
+        let pos = self.positives[i] as usize;
+        (pos, self.starts[i + 1] - self.starts[i] - pos)
+    }
+
+    /// Distinct-row id of every row, numbered in order of first
+    /// occurrence.
+    pub(crate) fn distinct_ids(&self) -> &[u32] {
+        &self.distinct_id
+    }
+
+    /// The first row of each distinct row, by distinct-row id.
+    pub(crate) fn distinct_rows(&self) -> &[usize] {
+        &self.distinct_first
+    }
+
+    /// Rows with at least one vote.
+    fn rows_covered(&self) -> usize {
+        (0..self.n_rows)
+            .filter(|&i| self.starts[i + 1] > self.starts[i])
+            .count()
+    }
+
+    /// Fraction of candidates receiving at least one vote; equal to
+    /// [`LabelMatrix::total_coverage`].
+    pub fn total_coverage(&self) -> f64 {
+        if self.n_rows == 0 {
+            return 0.0;
+        }
+        self.rows_covered() as f64 / self.n_rows as f64
+    }
+
+    /// Publish the same counters as [`LabelMatrix::record_vote_counters`]
+    /// without re-scanning Λ.
+    pub fn record_vote_counters(&self) {
+        let positive: u64 = self.positives.iter().map(|&p| u64::from(p)).sum();
+        let negative = self.votes.len() as u64 - positive;
+        publish_vote_counters(
+            positive,
+            negative,
+            self.n_rows * self.n_cols,
+            self.rows_covered(),
+        );
     }
 }
 
@@ -288,6 +434,31 @@ mod tests {
         assert_eq!(m.conflict(1), 0.25);
         assert_eq!(m.conflict(2), 0.0);
         assert_eq!(m.total_coverage(), 1.0);
+    }
+
+    #[test]
+    fn votes_index_rows_tallies_and_distinct_rows() {
+        let m = matrix();
+        let v = LabelVotes::new(&m);
+        assert_eq!((v.n_rows(), v.n_cols()), (4, 3));
+        assert_eq!(v.row(0), &[(0, 1), (1, 1)]);
+        assert_eq!(v.row(1), &[(0, 1), (1, -1)]);
+        assert_eq!(v.row(3), &[(0, 1)]);
+        assert_eq!(v.tally(1), (1, 1));
+        assert_eq!(v.tally(2), (1, 0));
+        // Rows 2 and 3 are equal.
+        assert_eq!(v.distinct_ids(), &[0, 1, 2, 2]);
+        assert_eq!(v.distinct_rows(), &[0, 1, 2]);
+        assert_eq!(v.rows_covered(), 4);
+        assert_eq!(v.total_coverage(), m.total_coverage());
+
+        let empty = LabelVotes::new(&LabelMatrix::zeros(3, 0));
+        assert_eq!(empty.distinct_ids(), &[0, 0, 0]);
+        assert_eq!(empty.total_coverage(), 0.0);
+        assert_eq!(
+            LabelVotes::new(&LabelMatrix::zeros(0, 2)).total_coverage(),
+            0.0
+        );
     }
 
     #[test]
