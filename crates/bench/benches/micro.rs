@@ -18,6 +18,7 @@ use fonduer_features::{merge_shards, FeatureConfig, Featurizer};
 use fonduer_learning::{prepare, FonduerModel, ModelConfig, ProbClassifier};
 use fonduer_nlp::HashedVocab;
 use fonduer_observe as observe;
+use fonduer_par::Pool;
 use fonduer_supervision::{GenerativeModel, GenerativeOptions, LabelMatrix, LabelingFunction};
 use fonduer_synth::Domain;
 use std::hint::black_box;
@@ -689,12 +690,13 @@ fn bench_scaling(results: &mut Vec<BenchResult>) {
     // counts resolve to the same pool width, the rows differ only by
     // scheduler noise, and the regression gate compares them directly.
     for n in [1usize, 2, 4, 8] {
+        let pool = Pool::new(n);
         bench(
             results,
             format!("candidates/candgen/threads={n}"),
             3,
             30,
-            || ex.extract_parallel(&ds.corpus, n),
+            || ex.extract_parallel(&ds.corpus, &pool),
         );
         with_throughput(results, cands.len());
         bench(
@@ -702,7 +704,7 @@ fn bench_scaling(results: &mut Vec<BenchResult>) {
             format!("features/featurize/threads={n}"),
             3,
             30,
-            || fz.featurize_parallel(&ds.corpus, &cands, n),
+            || fz.featurize_parallel(&ds.corpus, &cands, &pool),
         );
         with_throughput(results, cands.len());
         bench(
@@ -710,7 +712,7 @@ fn bench_scaling(results: &mut Vec<BenchResult>) {
             format!("supervision/lf_apply/threads={n}"),
             3,
             30,
-            || LabelMatrix::apply_parallel(&lf_refs, &ds.corpus, &cands, n),
+            || LabelMatrix::apply_parallel(&lf_refs, &ds.corpus, &cands, &pool),
         );
         with_throughput(results, cands.len());
         bench(

@@ -361,67 +361,28 @@ mod tests {
 }
 
 /// Parallel extraction: documents are independent units of work during
-/// candidate generation, so each document is one task on the shared
-/// [`fonduer_par::Pool`]; per-document results are concatenated in
-/// document order, so the output is byte-identical to
-/// [`CandidateExtractor::extract`] at every thread count.
+/// candidate generation, so each document is one
+/// [`CandidateExtractor::extract_doc`] task on a [`fonduer_par::Pool`], and
+/// per-document results are concatenated in document order — the output is
+/// byte-identical to [`CandidateExtractor::extract`] at every pool width.
 impl CandidateExtractor {
-    /// Extract candidates using `n_threads` workers (`0` = auto; the
-    /// `FONDUER_THREADS` environment variable overrides either way — see
-    /// [`fonduer_par::resolve_threads`]).
-    pub fn extract_parallel(&self, corpus: &Corpus, n_threads: usize) -> CandidateSet {
-        let pool = fonduer_par::Pool::new(n_threads);
-        if pool.n_threads() == 1 || corpus.len() < 2 {
+    /// Extract candidates on `pool`. At width 1 this is
+    /// [`CandidateExtractor::extract`].
+    pub fn extract_parallel(&self, corpus: &Corpus, pool: &fonduer_par::Pool) -> CandidateSet {
+        if pool.n_threads() == 1 {
             return self.extract(corpus);
         }
         let _span = observe::span("extract_corpus");
-        let time_docs = observe::doc_timings_enabled();
         let doc_ids: Vec<DocId> = corpus.doc_ids().collect();
-        // Workers measure per-document time; the calling thread records it
-        // in input order below, so the DocTimings table (and its cap
-        // eviction) is deterministic at every thread count.
-        let per_doc = pool.par_map(&doc_ids, |&id| {
-            let t0 = time_docs.then(std::time::Instant::now);
-            let cands = self.extract_doc(id, corpus.doc(id));
-            (cands, t0.map_or(0, |t| t.elapsed().as_nanos() as u64))
-        });
+        let per_doc = pool.par_map_timed(&doc_ids, |&id| self.extract_doc(id, corpus.doc(id)));
         let mut candidates = Vec::new();
         for (&id, (cands, ns)) in doc_ids.iter().zip(per_doc) {
-            if time_docs {
-                observe::doc_stage_ns(&corpus.doc(id).name, "candgen", ns);
-            }
+            observe::doc_stage_ns(&corpus.doc(id).name, "candgen", ns);
             candidates.extend(cands);
         }
         CandidateSet {
             schema: self.schema.clone(),
             candidates,
-        }
-    }
-
-    /// Extract candidates for a subset of documents only — the dirty-doc
-    /// path of shard-cached sessions. Returns one `(candidates, worker ns)`
-    /// pair per id, in `ids` order; the caller records the timings in input
-    /// order (the same reduction contract as
-    /// [`CandidateExtractor::extract_parallel`]) and is responsible for the
-    /// `extract_corpus` span. Worker ns is 0 when per-document timing is
-    /// disabled.
-    pub fn extract_docs(
-        &self,
-        corpus: &Corpus,
-        ids: &[DocId],
-        n_threads: usize,
-    ) -> Vec<(Vec<Candidate>, u64)> {
-        let time_docs = observe::doc_timings_enabled();
-        let work = |id: &DocId| {
-            let t0 = time_docs.then(std::time::Instant::now);
-            let cands = self.extract_doc(*id, corpus.doc(*id));
-            (cands, t0.map_or(0, |t| t.elapsed().as_nanos() as u64))
-        };
-        let pool = fonduer_par::Pool::new(n_threads);
-        if pool.n_threads() == 1 || ids.len() < 2 {
-            ids.iter().map(work).collect()
-        } else {
-            pool.par_map(ids, work)
         }
     }
 }
@@ -431,6 +392,7 @@ mod parallel_tests {
     use super::*;
     use crate::matcher::{DictionaryMatcher, MentionType, NumberRangeMatcher};
     use fonduer_datamodel::DocFormat;
+    use fonduer_par::Pool;
     use fonduer_parser::{parse_document, ParseOptions};
 
     #[test]
@@ -459,20 +421,8 @@ mod parallel_tests {
         );
         let seq = ex.extract(&corpus);
         for threads in [1, 2, 3, 8] {
-            let par = ex.extract_parallel(&corpus, threads);
+            let par = ex.extract_parallel(&corpus, &Pool::exact(threads));
             assert_eq!(seq.candidates, par.candidates, "threads={threads}");
         }
-        // The dirty-doc subset path concatenates to the same result.
-        for threads in [1, 4] {
-            let ids: Vec<DocId> = corpus.doc_ids().collect();
-            let per_doc = ex.extract_docs(&corpus, &ids, threads);
-            assert_eq!(per_doc.len(), ids.len());
-            let concat: Vec<Candidate> = per_doc.into_iter().flat_map(|(c, _)| c).collect();
-            assert_eq!(seq.candidates, concat, "threads={threads}");
-        }
-        // A strict subset extracts only those documents' candidates.
-        let subset = ex.extract_docs(&corpus, &[DocId(2)], 1);
-        assert!(subset[0].0.iter().all(|c| c.doc == DocId(2)));
-        assert!(!subset[0].0.is_empty());
     }
 }

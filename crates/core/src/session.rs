@@ -876,7 +876,6 @@ impl<'a> PipelineSession<'a> {
                 // corpus-global reduction, outside it.
                 let plan = {
                     let _span = observe::span("extract_corpus");
-                    let time_docs = observe::doc_timings_enabled();
                     let mut plan: Vec<Option<Arc<Vec<Candidate>>>> = corpus
                         .doc_ids()
                         .map(|id| {
@@ -893,12 +892,13 @@ impl<'a> PipelineSession<'a> {
                         .map(|(i, _)| DocId::from_usize(i))
                         .collect();
                     if !missing.is_empty() {
-                        let computed = extractor.extract_docs(corpus, &missing, n_threads);
+                        let computed = fonduer_par::Pool::new(n_threads)
+                            .par_map_timed(&missing, |&id| {
+                                extractor.extract_doc(id, corpus.doc(id))
+                            });
                         for (&id, (cands, ns)) in missing.iter().zip(computed) {
                             let name = &corpus.doc(id).name;
-                            if time_docs {
-                                observe::doc_stage_ns(name, "candgen", ns);
-                            }
+                            observe::doc_stage_ns(name, "candgen", ns);
                             recomputed.insert(name.clone());
                             let shard = Arc::new(cands);
                             cache.insert(
@@ -1004,7 +1004,6 @@ impl<'a> PipelineSession<'a> {
                 // below is corpus-global reduction, outside it.
                 let plan = {
                     let _span = observe::span("featurize_corpus");
-                    let time_docs = observe::doc_timings_enabled();
                     let mut plan: Vec<Option<Arc<DocFeatureShard>>> = corpus
                         .doc_ids()
                         .map(|id| {
@@ -1021,27 +1020,17 @@ impl<'a> PipelineSession<'a> {
                         .map(|(i, _)| i)
                         .collect();
                     if !missing.is_empty() {
-                        let work = |&i: &usize| {
-                            let t0 = time_docs.then(std::time::Instant::now);
-                            let (lo, hi) = art.ranges[i];
-                            let shard = featurizer.featurize_doc(
-                                corpus.doc(DocId::from_usize(i)),
-                                &art.set.candidates[lo as usize..hi as usize],
-                            );
-                            (shard, t0.map_or(0, |t| t.elapsed().as_nanos() as u64))
-                        };
-                        let pool = fonduer_par::Pool::new(n_threads);
-                        let computed: Vec<(DocFeatureShard, u64)> =
-                            if pool.n_threads() == 1 || missing.len() < 2 {
-                                missing.iter().map(work).collect()
-                            } else {
-                                pool.par_map(&missing, work)
-                            };
+                        let computed =
+                            fonduer_par::Pool::new(n_threads).par_map_timed(&missing, |&i| {
+                                let (lo, hi) = art.ranges[i];
+                                featurizer.featurize_doc(
+                                    corpus.doc(DocId::from_usize(i)),
+                                    &art.set.candidates[lo as usize..hi as usize],
+                                )
+                            });
                         for (&i, (shard, ns)) in missing.iter().zip(computed) {
                             let name = &corpus.doc(DocId::from_usize(i)).name;
-                            if time_docs {
-                                observe::doc_stage_ns(name, "featurize", ns);
-                            }
+                            observe::doc_stage_ns(name, "featurize", ns);
                             recomputed.insert(name.clone());
                             let shard = Arc::new(shard);
                             cache.insert(
@@ -1149,7 +1138,6 @@ impl<'a> PipelineSession<'a> {
                         .collect();
                     let shards: Vec<Arc<LabelShard>> = {
                         let _span = observe::span("lf_apply");
-                        let time_docs = observe::doc_timings_enabled();
                         let key = |i: usize| ShardKey {
                             doc_hash: corpus.content_hash(DocId::from_usize(i)),
                             config: cfg_fp,
@@ -1182,20 +1170,13 @@ impl<'a> PipelineSession<'a> {
                             let has_gold = !gold.is_empty();
                             let relation = &art.set.schema.name;
                             let work = |(k, missing): &(usize, Vec<usize>)| {
-                                let t0 = time_docs.then(std::time::Instant::now);
                                 let i = train_positions[*k];
                                 let doc = corpus.doc(DocId::from_usize(i));
                                 let (lo, hi) = art.ranges[i];
                                 let cands = &art.set.candidates[lo as usize..hi as usize];
                                 let voted: Vec<(u64, Arc<[i8]>)> = missing
                                     .iter()
-                                    .map(|&j| {
-                                        let lf = &lfs[j];
-                                        (
-                                            library[j],
-                                            cands.iter().map(|c| lf.label(doc, c)).collect(),
-                                        )
-                                    })
+                                    .map(|&j| (library[j], lfs[j].vote_column(doc, cands)))
                                     .collect();
                                 let flags: Option<Arc<[bool]>> = plan[*k].is_none().then(|| {
                                     cands
@@ -1210,21 +1191,14 @@ impl<'a> PipelineSession<'a> {
                                         })
                                         .collect()
                                 });
-                                let ns = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                                (voted, flags, ns)
+                                (voted, flags)
                             };
-                            let pool = fonduer_par::Pool::new(n_threads);
-                            let computed: Vec<_> = if pool.n_threads() == 1 || stale.len() < 2 {
-                                stale.iter().map(work).collect()
-                            } else {
-                                pool.par_map(&stale, work)
-                            };
-                            for (&(k, _), (voted, flags, ns)) in stale.iter().zip(computed) {
+                            let computed =
+                                fonduer_par::Pool::new(n_threads).par_map_timed(&stale, work);
+                            for (&(k, _), ((voted, flags), ns)) in stale.iter().zip(computed) {
                                 let i = train_positions[k];
                                 let name = &corpus.doc(DocId::from_usize(i)).name;
-                                if time_docs {
-                                    observe::doc_stage_ns(name, "lf_apply", ns);
-                                }
+                                observe::doc_stage_ns(name, "lf_apply", ns);
                                 recomputed.insert(name.clone());
                                 let shard = match plan[k].take() {
                                     Some(old) => old.revised(&library, voted),

@@ -1,26 +1,18 @@
 //! Symbol interning infrastructure shared across the workspace.
 //!
-//! Two interners live here because the *data model itself* now depends on
-//! them: the arena document layout stores every word, lemma, and tag as a
-//! `u32` symbol id resolved against a per-document [`SymbolArena`], and
-//! featurization reuses the same structures for its feature vocabulary
-//! (`fonduer-features` re-exports them).
-//!
-//! * [`SymbolArena`] — a single-threaded arena interner. All names live in
-//!   one contiguous `String`; the hash index maps a 64-bit FNV-1a hash to
-//!   symbol ids with byte-compare collision chains, so interning an
-//!   already-known name allocates nothing.
-//! * [`ShardedInterner`] — a concurrent symbol registry with a lock-free
-//!   read path (open-addressed atomic tables, grown copy-on-write under a
-//!   per-shard writer lock). Parallel workers resolve already-published
-//!   names without contention.
+//! [`SymbolArena`] is a single-threaded arena interner: all names live in
+//! one contiguous `String`, and the hash index maps a 64-bit FNV-1a hash to
+//! symbol ids with byte-compare collision chains, so interning an
+//! already-known name allocates nothing. It lives here because the *data
+//! model itself* depends on it — the arena document layout stores every
+//! word, lemma, and tag as a `u32` symbol id resolved against a
+//! per-document arena — and `fonduer-features` builds its feature
+//! vocabulary on it. Parallel stages never share one: each document is a
+//! task with its own arena, and the input-order merge interns on the
+//! calling thread.
 
-use std::ptr;
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
-use std::sync::Mutex;
-
-/// 64-bit FNV-1a over raw bytes — the hash shared by the symbol arenas,
-/// the sharded interner, and feature hashing (so a name hashes once).
+/// 64-bit FNV-1a over raw bytes — the hash shared by the symbol arenas and
+/// feature hashing (so a name hashes once).
 #[inline]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -160,244 +152,6 @@ impl SymbolArena {
     }
 }
 
-/// Never-zero variant of the shared hash: the sharded interner reserves 0
-/// as the "empty slot" sentinel.
-#[inline]
-fn nonzero(h: u64) -> u64 {
-    if h == 0 {
-        0x9e37_79b9_7f4a_7c15
-    } else {
-        h
-    }
-}
-
-const SHARD_BITS: usize = 4;
-const N_SHARDS: usize = 1 << SHARD_BITS;
-const INITIAL_SLOTS: usize = 64;
-
-struct Slot {
-    /// Full 64-bit name hash; 0 = empty. Published with `Release` *after*
-    /// the record pointer, so a reader that observes the hash sees the
-    /// record.
-    hash: AtomicU64,
-    /// Points at a record owned by the shard writer:
-    /// `[name_len: u32 LE][id: u32 LE][name bytes]`.
-    rec: AtomicPtr<u8>,
-}
-
-impl Slot {
-    fn empty() -> Self {
-        Self {
-            hash: AtomicU64::new(0),
-            rec: AtomicPtr::new(ptr::null_mut()),
-        }
-    }
-}
-
-struct Table {
-    mask: usize,
-    slots: Box<[Slot]>,
-}
-
-impl Table {
-    fn new(cap: usize) -> Self {
-        debug_assert!(cap.is_power_of_two());
-        Self {
-            mask: cap - 1,
-            slots: (0..cap).map(|_| Slot::empty()).collect(),
-        }
-    }
-
-    /// Copy every published entry of `old` into a fresh (not yet shared)
-    /// table of `cap` slots.
-    fn grown_from(old: &Table, cap: usize) -> Self {
-        let new = Table::new(cap);
-        for slot in old.slots.iter() {
-            let h = slot.hash.load(Ordering::Relaxed);
-            if h == 0 {
-                continue;
-            }
-            let rec = slot.rec.load(Ordering::Relaxed);
-            let mut i = (h as usize) & new.mask;
-            while new.slots[i].hash.load(Ordering::Relaxed) != 0 {
-                i = (i + 1) & new.mask;
-            }
-            new.slots[i].rec.store(rec, Ordering::Relaxed);
-            new.slots[i].hash.store(h, Ordering::Relaxed);
-        }
-        new
-    }
-}
-
-struct ShardWriter {
-    live: usize,
-    /// Every table this shard ever published, oldest first; the last one is
-    /// what `current` points at. Old tables are kept alive so readers that
-    /// loaded a stale pointer stay valid (bounded waste: capacities double,
-    /// so retired tables sum to less than the live one). The `Box` is
-    /// load-bearing: `current` holds a raw pointer into the allocation,
-    /// which must not move when this `Vec` reallocates.
-    #[allow(clippy::vec_box)]
-    tables: Vec<Box<Table>>,
-    /// Owns record allocations; never mutated after push, so raw pointers
-    /// into them stay valid for the interner's lifetime.
-    records: Vec<Box<[u8]>>,
-}
-
-struct Shard {
-    current: AtomicPtr<Table>,
-    writer: Mutex<ShardWriter>,
-}
-
-impl Shard {
-    fn new() -> Self {
-        let table = Box::new(Table::new(INITIAL_SLOTS));
-        let current = AtomicPtr::new(&*table as *const Table as *mut Table);
-        Self {
-            current,
-            writer: Mutex::new(ShardWriter {
-                live: 0,
-                tables: vec![table],
-                records: Vec::new(),
-            }),
-        }
-    }
-}
-
-/// A concurrent `name → u32` symbol registry with a lock-free read path.
-///
-/// Sixteen shards (by hash top bits), each an open-addressed atomic table:
-/// readers probe without taking any lock; writers serialize on a per-shard
-/// mutex and publish slots (and grown tables) with `Release` stores. In
-/// parallel featurization it serves as the shared base vocabulary — workers
-/// resolve the warm, already-merged symbols through it and only fall back
-/// to chunk-local deltas for genuinely new names.
-///
-/// A concurrent `get` may spuriously return `None` for a name inserted
-/// after the reader loaded its table snapshot; callers must treat `None` as
-/// "maybe absent" (the featurizer's merge makes duplicate inserts
-/// idempotent).
-pub struct ShardedInterner {
-    shards: Vec<Shard>,
-}
-
-impl Default for ShardedInterner {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ShardedInterner {
-    /// An empty interner.
-    pub fn new() -> Self {
-        Self {
-            shards: (0..N_SHARDS).map(|_| Shard::new()).collect(),
-        }
-    }
-
-    #[inline]
-    fn shard(&self, h: u64) -> &Shard {
-        &self.shards[(h >> (64 - SHARD_BITS)) as usize]
-    }
-
-    /// Decode a record pointer into `(id, name bytes)`.
-    ///
-    /// Safety: `rec` was produced by `insert` from a `Box<[u8]>` that the
-    /// shard writer retains for the interner's lifetime; the caller holds
-    /// `&self`, so the allocation is live and immutable.
-    #[inline]
-    unsafe fn decode(&self, rec: *const u8) -> (u32, &[u8]) {
-        let head = std::slice::from_raw_parts(rec, 8);
-        let len = u32::from_le_bytes(head[0..4].try_into().unwrap()) as usize;
-        let id = u32::from_le_bytes(head[4..8].try_into().unwrap());
-        (id, std::slice::from_raw_parts(rec.add(8), len))
-    }
-
-    /// Lock-free lookup.
-    pub fn get(&self, name: &str) -> Option<u32> {
-        self.get_hashed(fnv1a64(name.as_bytes()), name)
-    }
-
-    /// Lock-free lookup with a pre-computed FNV-1a hash of `name`.
-    pub fn get_hashed(&self, raw_hash: u64, name: &str) -> Option<u32> {
-        let h = nonzero(raw_hash);
-        let shard = self.shard(h);
-        // Safety: `current` always points into a Box retained by the shard
-        // writer's `tables` list for the interner's lifetime.
-        let t = unsafe { &*shard.current.load(Ordering::Acquire) };
-        let mut i = (h as usize) & t.mask;
-        loop {
-            let sh = t.slots[i].hash.load(Ordering::Acquire);
-            if sh == 0 {
-                return None;
-            }
-            if sh == h {
-                let rec = t.slots[i].rec.load(Ordering::Acquire);
-                if !rec.is_null() {
-                    // Safety: see `decode`.
-                    let (id, bytes) = unsafe { self.decode(rec) };
-                    if bytes == name.as_bytes() {
-                        return Some(id);
-                    }
-                }
-            }
-            i = (i + 1) & t.mask;
-        }
-    }
-
-    /// Publish `name → id`. Idempotent: if `name` is already present its
-    /// existing mapping is kept (ids are assigned by the deterministic
-    /// merge, so a repeat insert always carries the same id).
-    pub fn insert(&self, name: &str, id: u32) {
-        let h = nonzero(fnv1a64(name.as_bytes()));
-        let shard = self.shard(h);
-        let mut w = shard.writer.lock().unwrap();
-        if self.get_hashed(h, name).is_some() {
-            return;
-        }
-        let mut rec = Vec::with_capacity(8 + name.len());
-        rec.extend_from_slice(&(name.len() as u32).to_le_bytes());
-        rec.extend_from_slice(&id.to_le_bytes());
-        rec.extend_from_slice(name.as_bytes());
-        let rec: Box<[u8]> = rec.into_boxed_slice();
-        let rec_ptr = rec.as_ptr() as *mut u8;
-        w.records.push(rec);
-        // Keep load factor below 1/2; grow copy-on-write and publish the
-        // new table before touching it.
-        // Safety: `current` points into a Box in `w.tables` (see `get`).
-        let mut table = unsafe { &*shard.current.load(Ordering::Relaxed) };
-        if (w.live + 1) * 2 > table.mask + 1 {
-            let grown = Box::new(Table::grown_from(table, (table.mask + 1) * 2));
-            let grown_ptr = &*grown as *const Table as *mut Table;
-            w.tables.push(grown);
-            shard.current.store(grown_ptr, Ordering::Release);
-            // Safety: just boxed above, retained in `w.tables`.
-            table = unsafe { &*grown_ptr };
-        }
-        let mut i = (h as usize) & table.mask;
-        while table.slots[i].hash.load(Ordering::Relaxed) != 0 {
-            i = (i + 1) & table.mask;
-        }
-        table.slots[i].rec.store(rec_ptr, Ordering::Relaxed);
-        table.slots[i].hash.store(h, Ordering::Release);
-        w.live += 1;
-    }
-
-    /// Number of published symbols (takes the shard locks; diagnostics
-    /// only).
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.writer.lock().unwrap().live)
-            .sum()
-    }
-
-    /// Whether no symbol has been published.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -426,55 +180,5 @@ mod tests {
             assert_eq!(v.resolve(id), format!("S_{i}"));
             assert_eq!(v.get(&format!("S_{i}")), Some(id));
         }
-    }
-
-    #[test]
-    fn sharded_interner_roundtrip_and_growth() {
-        let s = ShardedInterner::new();
-        assert!(s.is_empty());
-        for i in 0..2000u32 {
-            s.insert(&format!("SYM_{i}"), i);
-        }
-        assert_eq!(s.len(), 2000);
-        for i in 0..2000u32 {
-            assert_eq!(s.get(&format!("SYM_{i}")), Some(i), "SYM_{i}");
-        }
-        assert_eq!(s.get("SYM_2000"), None);
-        // Idempotent: a repeat insert keeps the first mapping.
-        s.insert("SYM_7", 999_999);
-        assert_eq!(s.get("SYM_7"), Some(7));
-        assert_eq!(s.len(), 2000);
-    }
-
-    #[test]
-    fn sharded_interner_concurrent_readers_during_inserts() {
-        let s = ShardedInterner::new();
-        let n = 4000u32;
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    // Readers race the writer; a hit must always be correct,
-                    // and once the writer is done every name must resolve.
-                    loop {
-                        let mut all = true;
-                        for i in 0..n {
-                            match s.get(&format!("SYM_{i}")) {
-                                Some(id) => assert_eq!(id, i),
-                                None => all = false,
-                            }
-                        }
-                        if all {
-                            break;
-                        }
-                    }
-                });
-            }
-            scope.spawn(|| {
-                for i in 0..n {
-                    s.insert(&format!("SYM_{i}"), i);
-                }
-            });
-        });
-        assert_eq!(s.len(), n as usize);
     }
 }

@@ -44,6 +44,6 @@ pub use ids::{
     CaptionId, CellId, ColumnId, ContextRef, DocId, FigureId, ParagraphId, RowId, SectionId,
     SentenceId, TableId, TextBlockId,
 };
-pub use intern::{fnv1a64, ShardedInterner, SymbolArena};
+pub use intern::{fnv1a64, SymbolArena};
 pub use span::{Span, SpanRef};
 pub use validate::{assert_valid, validate};

@@ -13,11 +13,11 @@
 
 use crate::binary::binary_features_into;
 use crate::config::FeatureConfig;
-use crate::intern::{dedup_row, FeatureSink, ShardedInterner, DELTA_BIT};
+use crate::intern::{dedup_row, FeatureSink};
 use crate::sparse::CsrMatrix;
 use crate::unary::unary_features_into;
 use fonduer_candidates::{Candidate, CandidateSet};
-use fonduer_datamodel::{Corpus, DocId, Document, Span};
+use fonduer_datamodel::{Corpus, Document, Span};
 use fonduer_observe as observe;
 use std::borrow::Borrow;
 use std::collections::HashMap;
@@ -274,9 +274,7 @@ impl Featurizer {
         // Keyed by (mention span, argument index): the prefix differs per
         // argument position, so cached symbols are per position.
         let mut cache: MentionCache = HashMap::new();
-        let mut current_doc = None;
         let time_docs = observe::doc_timings_enabled();
-        let mut doc_t0 = std::time::Instant::now();
         let tally;
         {
             let mut sink = if hashed {
@@ -284,196 +282,26 @@ impl Featurizer {
             } else {
                 FeatureSink::interning(&mut vocab)
             };
-            for cand in &cands.candidates {
-                if current_doc != Some(cand.doc) {
-                    if time_docs {
-                        if let Some(prev) = current_doc {
-                            observe::doc_stage_ns(
-                                &corpus.doc(prev).name,
-                                "featurize",
-                                doc_t0.elapsed().as_nanos() as u64,
-                            );
-                        }
-                        doc_t0 = std::time::Instant::now();
-                    }
-                    cache.clear(); // flush at document boundary
-                    current_doc = Some(cand.doc);
-                }
-                let doc = corpus.doc(cand.doc);
-                self.candidate_into(
-                    doc,
-                    cand,
-                    &mut sink,
-                    self.cache_enabled.then_some(&mut cache),
-                    &mut stats,
-                );
-                finish_row(&mut sink, &mut csr, row_modality.as_mut());
-            }
-            if time_docs {
-                if let Some(prev) = current_doc {
-                    observe::doc_stage_ns(
-                        &corpus.doc(prev).name,
-                        "featurize",
-                        doc_t0.elapsed().as_nanos() as u64,
-                    );
-                }
-            }
-            tally = sink.tally();
-        }
-        flush_tally(&tally, &stats);
-        FeatureSet {
-            vocab,
-            matrix: Arc::new(csr),
-            stats,
-            hashing_bits: self.cfg.hashing_bits,
-            row_modality,
-        }
-    }
-}
-
-/// Raw per-chunk output of a parallel featurization worker.
-struct ChunkOut {
-    /// All rows back-to-back; in interned mode symbol ids may carry
-    /// [`DELTA_BIT`] (chunk-local names awaiting the input-order merge).
-    flat: Vec<(u32, u8)>,
-    /// Row boundaries into `flat` (`n_rows + 1` offsets).
-    offsets: Vec<u32>,
-    /// Chunk-local first-occurrence vocabulary of names the shared base
-    /// didn't resolve (empty in hashing mode).
-    delta: FeatureVocab,
-    stats: CacheStats,
-    tally: [u64; 5],
-    /// Per-document wall time measured on the worker, recorded into the
-    /// DocTimings table by the caller **in input order** (empty when
-    /// per-document timing is disabled).
-    doc_ns: Vec<(DocId, u64)>,
-}
-
-/// Minimum candidate count before parallel featurization pays for itself.
-const PAR_MIN_CANDIDATES: usize = 8;
-/// Minimum candidates per chunk (granularity floor).
-const PAR_MIN_CHUNK: usize = 8;
-
-/// Split `cands` into contiguous chunks at document boundaries only (the
-/// mention cache is per-document), each at least `target` candidates so
-/// per-chunk overhead amortizes.
-fn chunk_doc_ranges(cands: &[Candidate], n_threads: usize) -> Vec<(usize, usize)> {
-    let target = (cands.len() / (n_threads * 4)).max(PAR_MIN_CHUNK);
-    let mut out = Vec::new();
-    let mut start = 0usize;
-    for i in 1..=cands.len() {
-        let at_boundary = i == cands.len() || cands[i].doc != cands[i - 1].doc;
-        if at_boundary && i - start >= target {
-            out.push((start, i));
-            start = i;
-        }
-    }
-    if start < cands.len() {
-        out.push((start, cands.len()));
-    }
-    out
-}
-
-impl Featurizer {
-    /// Parallel featurization on the shared [`fonduer_par::Pool`].
-    ///
-    /// The candidate list is split at document boundaries into chunks of at
-    /// least [`PAR_MIN_CHUNK`] candidates; each worker emits interned
-    /// symbols through a chunk-local [`FeatureSink`], resolving warm names
-    /// against a lock-free [`ShardedInterner`] base and spilling genuinely
-    /// new names into a chunk-local delta vocab. Deltas are merged into the
-    /// global vocabulary **in input order** between waves (and published to
-    /// the base so later waves hit it), which makes the vocabulary column
-    /// order, the CSR rows, and the cache statistics byte-identical to
-    /// [`Featurizer::featurize`] at every thread count. Hashing mode needs
-    /// no vocabulary at all, so it runs as one wave of final rows.
-    pub fn featurize_parallel(
-        &self,
-        corpus: &Corpus,
-        cands: &CandidateSet,
-        n_threads: usize,
-    ) -> FeatureSet {
-        self.featurize_pooled(corpus, cands, fonduer_par::Pool::new(n_threads))
-    }
-
-    /// Force the sharded chunk-and-merge execution with exactly
-    /// `n_workers` OS workers, bypassing `fonduer_par`'s hardware cap.
-    /// Output is byte-identical to [`Featurizer::featurize`] at every
-    /// worker count; the golden determinism tests use this to exercise the
-    /// shared-interner merge machinery even on a single-core host, where
-    /// [`Featurizer::featurize_parallel`] would fall back to sequential.
-    pub fn featurize_sharded(
-        &self,
-        corpus: &Corpus,
-        cands: &CandidateSet,
-        n_workers: usize,
-    ) -> FeatureSet {
-        self.featurize_pooled(corpus, cands, fonduer_par::Pool::exact(n_workers))
-    }
-
-    fn featurize_pooled(
-        &self,
-        corpus: &Corpus,
-        cands: &CandidateSet,
-        pool: fonduer_par::Pool,
-    ) -> FeatureSet {
-        if pool.n_threads() == 1 || cands.len() < PAR_MIN_CANDIDATES {
-            return self.featurize(corpus, cands);
-        }
-        let chunks = chunk_doc_ranges(&cands.candidates, pool.n_threads());
-        if chunks.len() < 2 {
-            return self.featurize(corpus, cands);
-        }
-        let _span = observe::span("featurize_corpus");
-        let hashed = self.cfg.hashing_bits > 0;
-        let mut vocab = FeatureVocab::new();
-        let mut csr = CsrMatrix::new();
-        let mut stats = CacheStats::default();
-        let mut tally = [0u64; 5];
-        let mut row_modality: Option<Vec<[u32; 5]>> =
-            hashed.then(|| Vec::with_capacity(cands.len()));
-        let mut row_buf: Vec<(u32, u8)> = Vec::with_capacity(128);
-        if hashed {
-            // Bucket ids are final: one wave, workers emit finished rows.
-            let outs = pool.par_map(&chunks, |&(lo, hi)| {
-                self.featurize_chunk(corpus, &cands.candidates[lo..hi], None)
-            });
-            for mut out in outs {
-                record_doc_ns(corpus, &mut out);
-                merge_chunk(
-                    out,
-                    &mut vocab,
-                    None,
-                    &mut csr,
-                    &mut stats,
-                    &mut tally,
-                    row_modality.as_mut(),
-                    &mut row_buf,
-                );
-            }
-        } else {
-            // Interned mode: waves of chunks; after each wave the deltas
-            // are folded into the global vocab in input order and published
-            // to the shared base, so later waves resolve them lock-free.
-            let base = ShardedInterner::new();
-            for wave in chunks.chunks(pool.n_threads() * 2) {
-                let outs = pool.par_map(wave, |&(lo, hi)| {
-                    self.featurize_chunk(corpus, &cands.candidates[lo..hi], Some(&base))
-                });
-                for mut out in outs {
-                    record_doc_ns(corpus, &mut out);
-                    merge_chunk(
-                        out,
-                        &mut vocab,
-                        Some(&base),
-                        &mut csr,
+            for run in cands.candidates.chunk_by(|a, b| a.doc == b.doc) {
+                let t0 = time_docs.then(std::time::Instant::now);
+                cache.clear(); // flush at document boundary
+                let doc = corpus.doc(run[0].doc);
+                for cand in run {
+                    self.candidate_into(
+                        doc,
+                        cand,
+                        &mut sink,
+                        self.cache_enabled.then_some(&mut cache),
                         &mut stats,
-                        &mut tally,
-                        None,
-                        &mut row_buf,
                     );
+                    finish_row(&mut sink, &mut csr, row_modality.as_mut());
+                }
+                if let Some(t0) = t0 {
+                    let ns = t0.elapsed().as_nanos() as u64;
+                    observe::doc_stage_ns(&doc.name, "featurize", ns);
                 }
             }
+            tally = sink.tally();
         }
         flush_tally(&tally, &stats);
         FeatureSet {
@@ -483,137 +311,6 @@ impl Featurizer {
             hashing_bits: self.cfg.hashing_bits,
             row_modality,
         }
-    }
-
-    /// Featurize one contiguous chunk of candidates (whole documents) with
-    /// a chunk-local sink; `base = None` selects hashing mode.
-    fn featurize_chunk(
-        &self,
-        corpus: &Corpus,
-        cands: &[Candidate],
-        base: Option<&ShardedInterner>,
-    ) -> ChunkOut {
-        let mut delta = FeatureVocab::new();
-        let mut flat: Vec<(u32, u8)> = Vec::with_capacity(cands.len() * 64);
-        let mut offsets: Vec<u32> = Vec::with_capacity(cands.len() + 1);
-        offsets.push(0);
-        let mut stats = CacheStats::default();
-        let mut cache: MentionCache = HashMap::new();
-        let mut current_doc = None;
-        let time_docs = observe::doc_timings_enabled();
-        let mut doc_ns: Vec<(DocId, u64)> = Vec::new();
-        let mut doc_t0 = std::time::Instant::now();
-        let tally;
-        {
-            let mut sink = match base {
-                Some(b) => FeatureSink::shared(b, &mut delta),
-                None => FeatureSink::hashed(self.cfg.hashing_bits),
-            };
-            for cand in cands {
-                if current_doc != Some(cand.doc) {
-                    if time_docs {
-                        if let Some(prev) = current_doc {
-                            doc_ns.push((prev, doc_t0.elapsed().as_nanos() as u64));
-                        }
-                        doc_t0 = std::time::Instant::now();
-                    }
-                    cache.clear();
-                    current_doc = Some(cand.doc);
-                }
-                let doc = corpus.doc(cand.doc);
-                self.candidate_into(
-                    doc,
-                    cand,
-                    &mut sink,
-                    self.cache_enabled.then_some(&mut cache),
-                    &mut stats,
-                );
-                let row = sink.row_mut();
-                // Dedup by (possibly delta-tagged) id in the worker: a name
-                // maps to exactly one id within the chunk, so this removes
-                // the same duplicates the sequential path would.
-                dedup_row(row);
-                flat.extend_from_slice(row);
-                row.clear();
-                offsets.push(flat.len() as u32);
-            }
-            if time_docs {
-                if let Some(prev) = current_doc {
-                    doc_ns.push((prev, doc_t0.elapsed().as_nanos() as u64));
-                }
-            }
-            tally = sink.tally();
-        }
-        ChunkOut {
-            flat,
-            offsets,
-            delta,
-            stats,
-            tally,
-            doc_ns,
-        }
-    }
-}
-
-/// Drain a chunk's worker-measured per-document times into the global
-/// DocTimings table. Called chunk-by-chunk in input order (and chunks are
-/// document-atomic), so table insertion order — and therefore cap
-/// eviction — is identical at every thread count.
-fn record_doc_ns(corpus: &Corpus, out: &mut ChunkOut) {
-    for (doc, ns) in out.doc_ns.drain(..) {
-        observe::doc_stage_ns(&corpus.doc(doc).name, "featurize", ns);
-    }
-}
-
-/// Fold one chunk's output into the global artifacts (must be called in
-/// input order): intern the chunk's delta names (publishing them to the
-/// shared base), remap delta-tagged ids to global columns, re-dedup (a
-/// spurious base miss can duplicate a global symbol), and append the rows.
-#[allow(clippy::too_many_arguments)]
-fn merge_chunk(
-    out: ChunkOut,
-    vocab: &mut FeatureVocab,
-    base: Option<&ShardedInterner>,
-    csr: &mut CsrMatrix,
-    stats: &mut CacheStats,
-    tally: &mut [u64; 5],
-    mut row_modality: Option<&mut Vec<[u32; 5]>>,
-    row_buf: &mut Vec<(u32, u8)>,
-) {
-    let remap: Vec<u32> = (0..out.delta.len() as u32)
-        .map(|i| {
-            let name = out.delta.name(i);
-            let gid = vocab.intern(name);
-            if let Some(base) = base {
-                base.insert(name, gid);
-            }
-            gid
-        })
-        .collect();
-    for w in out.offsets.windows(2) {
-        let (lo, hi) = (w[0] as usize, w[1] as usize);
-        row_buf.clear();
-        row_buf.extend(out.flat[lo..hi].iter().map(|&(id, m)| {
-            if id & DELTA_BIT != 0 {
-                (remap[(id & !DELTA_BIT) as usize], m)
-            } else {
-                (id, m)
-            }
-        }));
-        dedup_row(row_buf);
-        if let Some(rm) = row_modality.as_deref_mut() {
-            let mut counts = [0u32; 5];
-            for &(_, m) in row_buf.iter() {
-                counts[(m as usize).min(4)] += 1;
-            }
-            rm.push(counts);
-        }
-        csr.push_ids(row_buf.iter().map(|&(id, _)| id));
-    }
-    stats.hits += out.stats.hits;
-    stats.misses += out.stats.misses;
-    for (t, v) in tally.iter_mut().zip(out.tally) {
-        *t += v;
     }
 }
 
@@ -711,13 +408,44 @@ impl Featurizer {
             hashing_bits: self.cfg.hashing_bits,
         }
     }
+
+    /// Featurize a candidate set on `pool`: each document's run of
+    /// candidates is one [`Featurizer::featurize_doc`] task, and
+    /// [`merge_shards`] stitches the shards in input order, so the
+    /// vocabulary order, the CSR rows and the cache statistics are
+    /// byte-identical to [`Featurizer::featurize`] at every pool width. At
+    /// width 1 this is [`Featurizer::featurize`], which interns each name
+    /// once instead of once per document.
+    pub fn featurize_parallel(
+        &self,
+        corpus: &Corpus,
+        cands: &CandidateSet,
+        pool: &fonduer_par::Pool,
+    ) -> FeatureSet {
+        if pool.n_threads() == 1 {
+            return self.featurize(corpus, cands);
+        }
+        let _span = observe::span("featurize_corpus");
+        let runs: Vec<&[Candidate]> = cands.candidates.chunk_by(|a, b| a.doc == b.doc).collect();
+        let shards =
+            pool.par_map_timed(&runs, |run| self.featurize_doc(corpus.doc(run[0].doc), run));
+        let shards: Vec<DocFeatureShard> = runs
+            .iter()
+            .zip(shards)
+            .map(|(run, (shard, ns))| {
+                observe::doc_stage_ns(&corpus.doc(run[0].doc).name, "featurize", ns);
+                shard
+            })
+            .collect();
+        merge_shards(self.cfg.hashing_bits, &shards)
+    }
 }
 
 /// Stitch per-document shards, given in corpus order, into one corpus-level
 /// [`FeatureSet`]: byte-identical to [`Featurizer::featurize`] over the
 /// concatenated candidates (same first-occurrence vocabulary, same sorted
 /// rows, same cache statistics), with the emission tallies and cache
-/// counters flushed to `fonduer-observe` as the monolithic paths do.
+/// counters flushed to `fonduer-observe` as [`Featurizer::featurize`] does.
 ///
 /// The merged matrix has exactly Σ shard rows and Σ shard entries, so its
 /// three arrays are allocated once at that size. In hashing mode shard ids
@@ -1064,7 +792,8 @@ mod parallel_tests {
     use fonduer_candidates::{
         CandidateExtractor, DictionaryMatcher, MentionType, NumberRangeMatcher, RelationSchema,
     };
-    use fonduer_datamodel::DocFormat;
+    use fonduer_datamodel::{DocFormat, DocId};
+    use fonduer_par::Pool;
     use fonduer_parser::{parse_document, ParseOptions};
 
     fn corpus_and_cands() -> (Corpus, CandidateSet) {
@@ -1104,7 +833,7 @@ mod parallel_tests {
         let f = Featurizer::default();
         let seq = f.featurize(&corpus, &cands);
         for threads in [2, 3, 16] {
-            let par = f.featurize_sharded(&corpus, &cands, threads);
+            let par = f.featurize_parallel(&corpus, &cands, &Pool::exact(threads));
             // Byte-identical artifacts: same vocab order, same CSR arrays.
             assert_eq!(par.vocab.len(), seq.vocab.len(), "threads={threads}");
             for c in 0..seq.vocab.len() as u32 {
@@ -1113,6 +842,14 @@ mod parallel_tests {
             assert_eq!(par.matrix, seq.matrix, "threads={threads}");
             assert_eq!(par.stats, seq.stats, "threads={threads}");
         }
+        // A document split into two runs gets two cache epochs on both
+        // paths: the tasks are runs of one document, not documents.
+        let mut split = cands;
+        split.candidates.rotate_left(1);
+        let seq = f.featurize(&corpus, &split);
+        let par = f.featurize_parallel(&corpus, &split, &Pool::exact(2));
+        assert_eq!(par.matrix, seq.matrix);
+        assert_eq!(par.stats, seq.stats);
     }
 
     #[test]
@@ -1121,7 +858,7 @@ mod parallel_tests {
         let f = Featurizer::new(FeatureConfig::all().with_hashing(16));
         let seq = f.featurize(&corpus, &cands);
         for threads in [2, 8] {
-            let par = f.featurize_sharded(&corpus, &cands, threads);
+            let par = f.featurize_parallel(&corpus, &cands, &Pool::exact(threads));
             assert_eq!(par.matrix, seq.matrix, "threads={threads}");
             assert_eq!(par.stats, seq.stats, "threads={threads}");
             for r in 0..cands.len() {
@@ -1200,28 +937,5 @@ mod parallel_tests {
         let (a, b) = (merge_shards(0, &[shard]), merge_shards(0, &[shard_stale]));
         assert_eq!(a.matrix, b.matrix);
         assert_eq!(a.stats, b.stats);
-    }
-
-    #[test]
-    fn chunking_respects_document_boundaries() {
-        let (_, cands) = corpus_and_cands();
-        for threads in [2, 4, 8] {
-            let chunks = chunk_doc_ranges(&cands.candidates, threads);
-            assert_eq!(chunks.first().unwrap().0, 0);
-            assert_eq!(chunks.last().unwrap().1, cands.len());
-            for w in chunks.windows(2) {
-                assert_eq!(w[0].1, w[1].0, "chunks must tile the input");
-            }
-            for &(lo, hi) in &chunks {
-                assert!(lo < hi);
-                if hi < cands.len() {
-                    assert_ne!(
-                        cands.candidates[hi - 1].doc,
-                        cands.candidates[hi].doc,
-                        "chunk must end at a document boundary"
-                    );
-                }
-            }
-        }
     }
 }

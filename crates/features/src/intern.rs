@@ -8,13 +8,9 @@
 //! * [`FeatureVocab`] — an arena interner. All feature names live in one
 //!   contiguous `String`; the hash index maps a 64-bit FNV-1a hash to
 //!   symbol ids with byte-compare collision chains, so interning an
-//!   already-known name allocates nothing.
-//! * [`ShardedInterner`] — a concurrent symbol registry with a lock-free
-//!   read path (open-addressed atomic tables, grown copy-on-write under a
-//!   per-shard writer lock). Parallel featurization workers resolve
-//!   already-published names against it without contention; misses land in
-//!   chunk-local [`FeatureVocab`] deltas that the deterministic input-order
-//!   merge folds back in.
+//!   already-known name allocates nothing. A document shard owns one for
+//!   its local ids; merging shards re-interns each shard's names in input
+//!   order under the hashes the shard kept.
 //! * [`FeatureSink`] — the reusable emission buffer the template emitters
 //!   write into. Feature names are composed in a scratch `String` (prefix +
 //!   template parts) and encoded to `u32` symbols immediately; strings
@@ -24,15 +20,11 @@ use crate::modality::modality_index;
 use std::fmt;
 use std::fmt::Write as _;
 
-pub use fonduer_datamodel::{fnv1a64, ShardedInterner, SymbolArena};
+pub use fonduer_datamodel::{fnv1a64, SymbolArena};
 
 /// Salt mixed into feature-hashing bucket ids so bucketing is decorrelated
 /// from the interner's index hashing.
 const FEATURE_HASH_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
-
-/// High bit marking a chunk-local delta symbol in parallel featurization;
-/// cleared when the input-order merge remaps local ids to global columns.
-pub(crate) const DELTA_BIT: u32 = 1 << 31;
 
 /// Interns feature names to dense column indices.
 ///
@@ -123,14 +115,8 @@ pub(crate) fn dedup_row(row: &mut Vec<(u32, u8)>) {
 }
 
 enum Encoder<'a> {
-    /// Sequential interning into a single global vocabulary.
+    /// Interning into one vocabulary (a corpus's or a document shard's).
     Vocab(&'a mut FeatureVocab),
-    /// Parallel chunk worker: resolve against the shared base, spill new
-    /// names into a chunk-local delta (ids tagged with [`DELTA_BIT`]).
-    Shared {
-        base: &'a ShardedInterner,
-        delta: &'a mut FeatureVocab,
-    },
     /// Feature hashing (the vocab-free fast path): bucket by salted hash.
     Hashed { mask: u64 },
     /// Debug/compat: collect fully rendered strings (the seed string path).
@@ -166,15 +152,9 @@ impl<'a> FeatureSink<'a> {
         }
     }
 
-    /// Sink interning into `vocab` (the sequential path).
+    /// Sink interning into `vocab`.
     pub fn interning(vocab: &'a mut FeatureVocab) -> Self {
         Self::with_encoder(Encoder::Vocab(vocab))
-    }
-
-    /// Sink for a parallel chunk worker: reads through `base`, spills new
-    /// names into `delta` with [`DELTA_BIT`]-tagged local ids.
-    pub(crate) fn shared(base: &'a ShardedInterner, delta: &'a mut FeatureVocab) -> Self {
-        Self::with_encoder(Encoder::Shared { base, delta })
     }
 
     /// Vocab-free feature-hashing sink with `1 << bits` buckets.
@@ -246,13 +226,6 @@ impl<'a> FeatureSink<'a> {
             Encoder::Vocab(vocab) => {
                 let h = fnv1a64(self.scratch.as_bytes());
                 vocab.intern_hashed(h, &self.scratch)
-            }
-            Encoder::Shared { base, delta } => {
-                let h = fnv1a64(self.scratch.as_bytes());
-                match base.get_hashed(h, &self.scratch) {
-                    Some(id) => id,
-                    None => delta.intern_hashed(h, &self.scratch) | DELTA_BIT,
-                }
             }
             Encoder::Hashed { mask } => {
                 ((fnv1a64(self.scratch.as_bytes()) ^ FEATURE_HASH_SALT) & *mask) as u32
@@ -395,26 +368,6 @@ mod tests {
         assert_eq!(row.len(), 1);
         assert!(row[0].0 < (1 << 12));
         assert_eq!(row[0].1, 2);
-    }
-
-    #[test]
-    fn sink_shared_mode_tags_delta_symbols() {
-        let base = ShardedInterner::new();
-        base.insert("A0_KNOWN", 17);
-        let mut delta = FeatureVocab::new();
-        let row = {
-            let mut sink = FeatureSink::shared(&base, &mut delta);
-            sink.set_prefix(format_args!("A0_"));
-            sink.feat("KNOWN");
-            sink.feat("FRESH");
-            sink.feat("FRESH");
-            sink.take_row()
-        };
-        assert_eq!(row[0].0, 17);
-        assert_eq!(row[1].0, DELTA_BIT);
-        assert_eq!(row[2].0, DELTA_BIT);
-        assert_eq!(delta.len(), 1);
-        assert_eq!(delta.name(0), "A0_FRESH");
     }
 
     #[test]

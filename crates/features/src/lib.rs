@@ -10,8 +10,12 @@
 //! * [`featurizer::Featurizer`] caches mention-level features per document
 //!   (C.1's 100× speed-up);
 //! * [`intern`] provides the allocation-free emission path: an arena
-//!   [`FeatureVocab`], a lock-free-read [`ShardedInterner`] for parallel
-//!   workers, the reusable [`FeatureSink`], and the feature-hashing mode;
+//!   [`FeatureVocab`], the reusable [`FeatureSink`], and the
+//!   feature-hashing mode;
+//! * [`featurizer::Featurizer::featurize_doc`] featurizes one document into
+//!   a [`DocFeatureShard`] and [`merge_shards`] stitches shards in input
+//!   order: the session's per-document path, and the parallel
+//!   corpus-level map;
 //! * [`sparse`] provides the CSR, LIL, and COO representations whose
 //!   access patterns C.2 compares.
 
@@ -29,7 +33,7 @@ pub mod unary;
 pub use binary::{binary_features, binary_features_into};
 pub use config::FeatureConfig;
 pub use featurizer::{merge_shards, CacheStats, DocFeatureShard, FeatureSet, Featurizer};
-pub use intern::{FeatureSink, FeatureVocab, ShardedInterner};
+pub use intern::{FeatureSink, FeatureVocab};
 pub use modality::{modality_index, modality_of, MODALITIES};
 pub use sparse::{CooMatrix, CsrMatrix, LilMatrix, SparseAccess};
 pub use unary::{unary_features, unary_features_into};

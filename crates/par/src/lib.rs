@@ -3,14 +3,14 @@
 //! The workspace-wide data-parallel execution layer. Every hot pipeline
 //! stage — corpus ingest, candidate extraction, featurization, LF
 //! application, and Hogwild!-style training — shards its work by document
-//! (or by row block) and runs it on this crate's work-stealing pool
+//! (training: by row block) and runs it on this crate's work-stealing pool
 //! instead of hand-rolling its own thread management.
 //!
 //! ## Design
 //!
 //! A [`Pool`] is a lightweight handle (`n_threads` after env/hardware
-//! resolution); each call to [`Pool::par_map`] / [`Pool::par_chunks`] /
-//! [`Pool::par_reduce`] runs a *scoped* fork–join execution: worker
+//! resolution); each call to [`Pool::par_map`] / [`Pool::par_map_timed`] /
+//! [`Pool::par_chunks`] runs a *scoped* fork–join execution: worker
 //! threads are spawned inside a `crossbeam::scope`, so tasks may borrow
 //! from the caller's stack, and every worker is joined before the call
 //! returns. Tasks are distributed as contiguous index blocks into
@@ -23,11 +23,11 @@
 //! Worker scheduling is nondeterministic, but **results never are**: every
 //! task is keyed by its input index, and workers tag each result with that
 //! index so the pool can scatter results back into input order before
-//! returning. [`Pool::par_reduce`] folds the mapped values strictly in
-//! input order on the calling thread. Any pure per-item function therefore
-//! produces byte-identical output at every thread count — the property
-//! the pipeline's golden tests (`tests/parallel_determinism.rs`) assert
-//! for candidates, feature matrices, and label matrices.
+//! returning. Callers reduce the returned values in input order on the
+//! calling thread, so any pure per-item function produces byte-identical
+//! output at every thread count — the property the pipeline's golden
+//! tests (`tests/parallel_determinism.rs`) assert for candidates, feature
+//! matrices, and label matrices.
 //!
 //! ## Thread-count resolution
 //!
@@ -188,22 +188,30 @@ impl Pool {
         })
     }
 
-    /// Map `f` over `items` in parallel, then fold the mapped values
-    /// **strictly in input order** on the calling thread — the reduction
-    /// is deterministic regardless of worker scheduling.
-    pub fn par_reduce<I, T, A, M, R>(&self, items: &[I], map: M, init: A, mut fold: R) -> A
+    /// [`Pool::par_map`] for per-document stage work: each result comes
+    /// with the nanoseconds its call took on the thread that ran it (0 when
+    /// [`observe::doc_timings_enabled`] is off), so the caller can record
+    /// per-document timings in input order — which keeps the doc-timings
+    /// table, and the documents its cap keeps, the same at every width.
+    /// With one worker, or fewer than two items, the calls run inline on
+    /// the calling thread and `par.tasks` is not bumped.
+    pub fn par_map_timed<I, T, F>(&self, items: &[I], f: F) -> Vec<(T, u64)>
     where
         I: Sync,
         T: Send,
-        M: Fn(&I) -> T + Sync,
-        R: FnMut(A, T) -> A,
+        F: Fn(&I) -> T + Sync,
     {
-        let mapped = self.par_map(items, map);
-        let mut acc = init;
-        for v in mapped {
-            acc = fold(acc, v);
+        let timed = observe::doc_timings_enabled();
+        let work = |item: &I| {
+            let t0 = timed.then(Instant::now);
+            let out = f(item);
+            (out, t0.map_or(0, |t| t.elapsed().as_nanos() as u64))
+        };
+        if self.n_threads == 1 || items.len() < 2 {
+            items.iter().map(work).collect()
+        } else {
+            self.par_map(items, work)
         }
-        acc
     }
 
     /// Execute `n_tasks` index-keyed tasks and return their results in
@@ -405,22 +413,31 @@ mod tests {
     }
 
     #[test]
-    fn par_reduce_folds_in_input_order() {
-        let pool = Pool { n_threads: 4 };
-        let items: Vec<u32> = (0..50).collect();
-        // Order-sensitive fold: string concatenation.
-        let s = pool.par_reduce(
-            &items,
-            |&x| x.to_string(),
-            String::new(),
-            |mut acc, v| {
-                acc.push_str(&v);
-                acc.push(',');
-                acc
-            },
-        );
-        let expect: String = items.iter().map(|x| format!("{x},")).collect();
-        assert_eq!(s, expect);
+    fn par_map_timed_keeps_order_and_runs_narrow_maps_inline() {
+        let caller = std::thread::current().id();
+        let items: Vec<u64> = (0..40).collect();
+        for n_threads in [1, 4] {
+            let out =
+                Pool { n_threads }.par_map_timed(&items, |&x| (x * 2, std::thread::current().id()));
+            let values: Vec<u64> = out.iter().map(|((v, _), _)| *v).collect();
+            assert_eq!(values, items.iter().map(|x| x * 2).collect::<Vec<_>>());
+            if n_threads == 1 {
+                assert!(out.iter().all(|((_, t), _)| *t == caller));
+            }
+        }
+        // A single item never leaves the calling thread either.
+        let one = Pool { n_threads: 4 }.par_map_timed(&[7u8], |_| std::thread::current().id());
+        assert_eq!(one[0].0, caller);
+        // Each call is timed on the thread that ran it.
+        let slept = Pool { n_threads: 2 }.par_map_timed(&[1u64, 2], |&ms| {
+            std::thread::sleep(std::time::Duration::from_millis(ms));
+        });
+        if observe::doc_timings_enabled() {
+            assert!(
+                slept[0].1 >= 1_000_000 && slept[1].1 >= 2_000_000,
+                "{slept:?}"
+            );
+        }
     }
 
     #[test]

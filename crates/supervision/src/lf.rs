@@ -9,6 +9,7 @@
 
 use fonduer_candidates::Candidate;
 use fonduer_datamodel::Document;
+use std::sync::Arc;
 
 /// Label emitted by a labeling function.
 pub const TRUE: i8 = 1;
@@ -79,6 +80,14 @@ impl LabelingFunction {
         let v = (self.f)(doc, cand);
         debug_assert!((-1..=1).contains(&v), "LF {} emitted {v}", self.name);
         v
+    }
+
+    /// This LF's votes on one document's candidates, in order — the
+    /// per-document unit of LF application. Label shards keep one such
+    /// column per LF, and [`LabelMatrix::push_rows`](crate::LabelMatrix::push_rows)
+    /// assembles Λ from them.
+    pub fn vote_column(&self, doc: &Document, cands: &[Candidate]) -> Arc<[i8]> {
+        cands.iter().map(|c| self.label(doc, c)).collect()
     }
 }
 

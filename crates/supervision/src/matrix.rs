@@ -10,8 +10,8 @@
 use std::collections::HashMap;
 
 use crate::lf::LabelingFunction;
-use fonduer_candidates::CandidateSet;
-use fonduer_datamodel::{Corpus, DocId};
+use fonduer_candidates::{Candidate, CandidateSet};
+use fonduer_datamodel::Corpus;
 
 /// Dense label matrix: `n` candidates × `l` labeling functions.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,106 +35,68 @@ impl LabelMatrix {
     pub fn apply(lfs: &[&LabelingFunction], corpus: &Corpus, cands: &CandidateSet) -> Self {
         let _span = fonduer_observe::span("lf_apply");
         let time_docs = fonduer_observe::doc_timings_enabled();
-        let mut current_doc: Option<DocId> = None;
-        let mut doc_t0 = std::time::Instant::now();
         let mut m = Self::zeros(cands.len(), lfs.len());
-        for (i, cand) in cands.candidates.iter().enumerate() {
-            if time_docs && current_doc != Some(cand.doc) {
-                if let Some(prev) = current_doc {
-                    fonduer_observe::doc_stage_ns(
-                        &corpus.doc(prev).name,
-                        "lf_apply",
-                        doc_t0.elapsed().as_nanos() as u64,
-                    );
+        let mut i = 0;
+        for run in cands.candidates.chunk_by(|a, b| a.doc == b.doc) {
+            let t0 = time_docs.then(std::time::Instant::now);
+            let doc = corpus.doc(run[0].doc);
+            for cand in run {
+                for (j, lf) in lfs.iter().enumerate() {
+                    m.set(i, j, lf.label(doc, cand));
                 }
-                doc_t0 = std::time::Instant::now();
-                current_doc = Some(cand.doc);
+                i += 1;
             }
-            let doc = corpus.doc(cand.doc);
-            for (j, lf) in lfs.iter().enumerate() {
-                m.set(i, j, lf.label(doc, cand));
-            }
-        }
-        if time_docs {
-            if let Some(prev) = current_doc {
-                fonduer_observe::doc_stage_ns(
-                    &corpus.doc(prev).name,
-                    "lf_apply",
-                    doc_t0.elapsed().as_nanos() as u64,
-                );
+            if let Some(t0) = t0 {
+                let ns = t0.elapsed().as_nanos() as u64;
+                fonduer_observe::doc_stage_ns(&doc.name, "lf_apply", ns);
             }
         }
         m.record_vote_counters();
         m
     }
 
-    /// Apply a LF library to every candidate across `n_threads` workers on
-    /// the shared [`fonduer_par::Pool`]. Rows are sharded in contiguous
-    /// blocks, voted in parallel, and written back in input order, so the
-    /// matrix (and the telemetry counters) are byte-identical to
-    /// [`LabelMatrix::apply`] at every thread count. `n_threads = 0` means
-    /// auto-detect, and the `FONDUER_THREADS` environment variable
-    /// overrides either.
+    /// Apply a LF library on `pool`: each document's run of candidates is
+    /// one task that votes every LF's
+    /// [`vote_column`](LabelingFunction::vote_column), and the columns are
+    /// pushed in input order with [`LabelMatrix::push_rows`], so the matrix
+    /// and the vote counters are byte-identical to [`LabelMatrix::apply`]
+    /// at every pool width. At width 1 this is [`LabelMatrix::apply`].
     pub fn apply_parallel(
         lfs: &[&LabelingFunction],
         corpus: &Corpus,
         cands: &CandidateSet,
-        n_threads: usize,
+        pool: &fonduer_par::Pool,
     ) -> Self {
-        let pool = fonduer_par::Pool::new(n_threads);
-        if pool.n_threads() == 1 || cands.len() < 2 {
+        if pool.n_threads() == 1 {
             return Self::apply(lfs, corpus, cands);
         }
         let _span = fonduer_observe::span("lf_apply");
-        let time_docs = fonduer_observe::doc_timings_enabled();
-        let n_cols = lfs.len();
-        // (row block, per-doc ns) per chunk; folded back in input order, so
-        // DocTimings insertion order is thread-count invariant (a document
-        // split across two chunks accumulates).
-        let chunks = pool.par_chunks(&cands.candidates, |_, block| {
-            let mut rows: Vec<i8> = Vec::with_capacity(block.len() * n_cols);
-            let mut doc_ns: Vec<(DocId, u64)> = Vec::new();
-            let mut current_doc: Option<DocId> = None;
-            let mut doc_t0 = std::time::Instant::now();
-            for cand in block {
-                if time_docs && current_doc != Some(cand.doc) {
-                    if let Some(prev) = current_doc {
-                        doc_ns.push((prev, doc_t0.elapsed().as_nanos() as u64));
-                    }
-                    doc_t0 = std::time::Instant::now();
-                    current_doc = Some(cand.doc);
-                }
-                let doc = corpus.doc(cand.doc);
-                rows.extend(lfs.iter().map(|lf| lf.label(doc, cand)));
-            }
-            if time_docs {
-                if let Some(prev) = current_doc {
-                    doc_ns.push((prev, doc_t0.elapsed().as_nanos() as u64));
-                }
-            }
-            (rows, doc_ns)
+        let runs: Vec<&[Candidate]> = cands.candidates.chunk_by(|a, b| a.doc == b.doc).collect();
+        let voted = pool.par_map_timed(&runs, |run| {
+            let doc = corpus.doc(run[0].doc);
+            lfs.iter()
+                .map(|lf| lf.vote_column(doc, run))
+                .collect::<Vec<_>>()
         });
-        let mut m = Self {
-            n_rows: cands.len(),
-            n_cols,
-            data: Vec::with_capacity(cands.len() * n_cols),
-        };
-        for (rows, doc_ns) in chunks {
-            for (doc, ns) in doc_ns {
-                fonduer_observe::doc_stage_ns(&corpus.doc(doc).name, "lf_apply", ns);
-            }
-            m.data.extend_from_slice(&rows);
+        let mut m = Self::zeros(0, lfs.len());
+        let mut columns: Vec<&[i8]> = Vec::with_capacity(lfs.len());
+        for (run, (voted, ns)) in runs.iter().zip(&voted) {
+            fonduer_observe::doc_stage_ns(&corpus.doc(run[0].doc).name, "lf_apply", *ns);
+            columns.clear();
+            columns.extend(voted.iter().map(|c| &c[..]));
+            m.push_rows(run.len(), &columns);
         }
         m.record_vote_counters();
         m
     }
 
     /// Append one document's `n_rows` candidate rows, given as one vote
-    /// column per LF in column order (each `n_rows` long: the LF's votes on
-    /// the document's candidates). Pushing every document's columns in corpus order
-    /// onto `zeros(0, n_cols)` reproduces [`LabelMatrix::apply`] over the
-    /// concatenated candidates byte for byte — the shard-cached session's
-    /// reduction step.
+    /// column per LF in column order (each `n_rows` long: the LF's
+    /// [`vote_column`](LabelingFunction::vote_column) on the document's
+    /// candidates). Pushing every document's columns in corpus order onto
+    /// `zeros(0, n_cols)` reproduces [`LabelMatrix::apply`] over the
+    /// concatenated candidates byte for byte — the reduction step of the
+    /// shard-cached session and of [`LabelMatrix::apply_parallel`].
     pub fn push_rows(&mut self, n_rows: usize, columns: &[&[i8]]) {
         assert_eq!(columns.len(), self.n_cols, "one vote column per LF");
         debug_assert!(columns.iter().all(|c| c.len() == n_rows));
@@ -191,19 +153,6 @@ impl LabelMatrix {
     /// One candidate's labels.
     pub fn row(&self, i: usize) -> &[i8] {
         &self.data[i * self.n_cols..(i + 1) * self.n_cols]
-    }
-
-    /// Append the column produced by one additional LF (development-mode
-    /// iteration: user writes a new LF and re-labels).
-    pub fn append_column(&mut self, col: &[i8]) {
-        assert_eq!(col.len(), self.n_rows);
-        let mut data = Vec::with_capacity(self.n_rows * (self.n_cols + 1));
-        for (i, &v) in col.iter().enumerate() {
-            data.extend_from_slice(self.row(i));
-            data.push(v);
-        }
-        self.n_cols += 1;
-        self.data = data;
     }
 
     /// Coverage of LF `j`: fraction of candidates it labels (non-zero).
@@ -462,16 +411,6 @@ mod tests {
     }
 
     #[test]
-    fn append_column_grows_matrix() {
-        let mut m = matrix();
-        m.append_column(&[0, 0, 1, -1]);
-        assert_eq!(m.n_cols(), 4);
-        assert_eq!(m.get(2, 3), 1);
-        assert_eq!(m.get(3, 3), -1);
-        assert_eq!(m.get(0, 0), 1); // old data intact
-    }
-
-    #[test]
     fn empty_matrix_metrics_are_zero() {
         let m = LabelMatrix::zeros(0, 2);
         assert_eq!(m.coverage(0), 0.0);
@@ -525,19 +464,23 @@ mod tests {
         let mut merged = LabelMatrix::zeros(0, lfs.len());
         for (id, rows) in [(d0, 0..2), (d1, 2..3)] {
             let doc = corpus.doc(id);
-            let cols: Vec<Vec<i8>> = lfs
+            let cols: Vec<std::sync::Arc<[i8]>> = lfs
                 .iter()
-                .map(|lf| {
-                    cands.candidates[rows.clone()]
-                        .iter()
-                        .map(|c| lf.label(doc, c))
-                        .collect()
-                })
+                .map(|lf| lf.vote_column(doc, &cands.candidates[rows.clone()]))
                 .collect();
-            let col_refs: Vec<&[i8]> = cols.iter().map(Vec::as_slice).collect();
+            let col_refs: Vec<&[i8]> = cols.iter().map(|c| &c[..]).collect();
             merged.push_rows(rows.len(), &col_refs);
         }
         assert_eq!(merged, whole);
+        // The pool map over documents is the same matrix at every width.
+        for n in [1, 2, 3] {
+            let pool = fonduer_par::Pool::exact(n);
+            assert_eq!(
+                LabelMatrix::apply_parallel(&lf_refs, &corpus, &cands, &pool),
+                whole,
+                "threads={n}"
+            );
+        }
     }
 
     #[test]

@@ -11,6 +11,7 @@ use fonduer::prelude::*;
 use fonduer_core::domains;
 use fonduer_features::SparseAccess;
 use fonduer_learning::{CandidateInput, HogwildLogReg};
+use fonduer_par::Pool;
 use fonduer_synth::{generate_electronics, ElectronicsConfig};
 
 fn dataset() -> SynthDataset {
@@ -20,15 +21,30 @@ fn dataset() -> SynthDataset {
     })
 }
 
+/// Pools of exactly 2 and 8 workers: real worker threads even on a
+/// single-core host, where `Pool::new` would resolve to the sequential path.
+fn wide_pools() -> [Pool; 2] {
+    [Pool::exact(2), Pool::exact(8)]
+}
+
 #[test]
 fn candidate_set_is_byte_identical_across_thread_counts() {
     let ds = dataset();
     let task = &domains::electronics::tasks(&ds)[0];
-    let seq = task.extractor.extract_parallel(&ds.corpus, 1);
+    let seq = task.extractor.extract_parallel(&ds.corpus, &Pool::exact(1));
     assert!(!seq.candidates.is_empty());
-    for n in [2, 8] {
-        let par = task.extractor.extract_parallel(&ds.corpus, n);
-        assert_eq!(seq.candidates, par.candidates, "n_threads={n}");
+    assert_eq!(
+        seq.candidates,
+        task.extractor.extract(&ds.corpus).candidates
+    );
+    for pool in wide_pools() {
+        let par = task.extractor.extract_parallel(&ds.corpus, &pool);
+        assert_eq!(
+            seq.candidates,
+            par.candidates,
+            "n_threads={}",
+            pool.n_threads()
+        );
     }
 }
 
@@ -38,13 +54,11 @@ fn feature_set_and_vocab_order_are_byte_identical_across_thread_counts() {
     let task = &domains::electronics::tasks(&ds)[0];
     let cands = task.extractor.extract(&ds.corpus);
     let fz = Featurizer::new(FeatureConfig::all());
-    let seq = fz.featurize_parallel(&ds.corpus, &cands, 1);
+    let seq = fz.featurize_parallel(&ds.corpus, &cands, &Pool::exact(1));
     assert!(!seq.vocab.is_empty());
-    for n in [2, 8] {
-        // `featurize_sharded` forces real worker threads through the
-        // chunk-and-merge path even on a single-core host (where the public
-        // `featurize_parallel` would resolve to the sequential fallback).
-        let par = fz.featurize_sharded(&ds.corpus, &cands, n);
+    for pool in wide_pools() {
+        let n = pool.n_threads();
+        let par = fz.featurize_parallel(&ds.corpus, &cands, &pool);
         // Vocabulary ordering: column i names the same feature, in the
         // sequential first-occurrence order.
         assert_eq!(seq.vocab.len(), par.vocab.len(), "n_threads={n}");
@@ -56,8 +70,8 @@ fn feature_set_and_vocab_order_are_byte_identical_across_thread_counts() {
         // Cache statistics merge in input order too.
         assert_eq!(seq.stats.hits, par.stats.hits);
         assert_eq!(seq.stats.misses, par.stats.misses);
-        // And the public API agrees, whatever the host resolves n to.
-        let pub_par = fz.featurize_parallel(&ds.corpus, &cands, n);
+        // And a host-resolved pool agrees, whatever width it resolves to.
+        let pub_par = fz.featurize_parallel(&ds.corpus, &cands, &Pool::new(n));
         assert_eq!(seq.matrix, pub_par.matrix, "n_threads={n} (public)");
     }
 }
@@ -68,11 +82,12 @@ fn hashed_feature_matrix_is_byte_identical_across_thread_counts() {
     let task = &domains::electronics::tasks(&ds)[0];
     let cands = task.extractor.extract(&ds.corpus);
     let fz = Featurizer::new(FeatureConfig::all().with_hashing(16));
-    let seq = fz.featurize_parallel(&ds.corpus, &cands, 1);
+    let seq = fz.featurize_parallel(&ds.corpus, &cands, &Pool::exact(1));
     assert!(seq.vocab.is_empty(), "hashing mode keeps no vocabulary");
     assert_eq!(seq.n_features(), 1 << 16);
-    for n in [2, 8] {
-        let par = fz.featurize_sharded(&ds.corpus, &cands, n);
+    for pool in wide_pools() {
+        let n = pool.n_threads();
+        let par = fz.featurize_parallel(&ds.corpus, &cands, &pool);
         assert_eq!(seq.matrix, par.matrix, "n_threads={n}");
         assert_eq!(seq.stats, par.stats, "n_threads={n}");
         for r in 0..seq.matrix.n_rows() {
@@ -92,9 +107,9 @@ fn label_matrix_is_byte_identical_across_thread_counts() {
     let cands = task.extractor.extract(&ds.corpus);
     let refs: Vec<&LabelingFunction> = task.lfs.iter().collect();
     let seq = LabelMatrix::apply(&refs, &ds.corpus, &cands);
-    for n in [2, 8] {
-        let par = LabelMatrix::apply_parallel(&refs, &ds.corpus, &cands, n);
-        assert_eq!(seq, par, "n_threads={n}");
+    for pool in wide_pools() {
+        let par = LabelMatrix::apply_parallel(&refs, &ds.corpus, &cands, &pool);
+        assert_eq!(seq, par, "n_threads={}", pool.n_threads());
     }
 }
 

@@ -55,7 +55,9 @@ fn apply_and_session_supervise_add_equal_vote_counts() {
     };
     let refs: Vec<&LabelingFunction> = lfs.iter().collect();
     let (applied, m) = delta(|| LabelMatrix::apply(&refs, &ds.corpus, &train));
-    let (parallel, _) = delta(|| LabelMatrix::apply_parallel(&refs, &ds.corpus, &train, 2));
+    // Two real workers, even on a single-core host.
+    let pool = fonduer_par::Pool::exact(2);
+    let (parallel, _) = delta(|| LabelMatrix::apply_parallel(&refs, &ds.corpus, &train, &pool));
 
     let cells = (m.n_rows() * m.n_cols()) as u64;
     assert!(cells > 0, "the training split has candidates");
