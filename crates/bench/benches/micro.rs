@@ -324,7 +324,8 @@ fn bench_model_step(results: &mut Vec<BenchResult>) {
         "train_epoch flat-kernel speedup vs scalar reference: {:.2}x",
         old / new.max(1.0)
     );
-    // Batched inference over the full candidate set (length-bucketed GEMMs).
+    // Batched inference over the full candidate set (each distinct window
+    // encoded once, in length-bucketed GEMMs).
     let trained = {
         let mut m = model();
         m.fit(&dataset.inputs, &targets);

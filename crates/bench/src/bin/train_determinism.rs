@@ -1,9 +1,17 @@
 //! Determinism probe for CI: train the deterministic (non-Hogwild)
 //! learner end to end and print the final epoch losses and marginals with
 //! bit-exact formatting. CI runs this twice — `FONDUER_THREADS=1` and
-//! `FONDUER_THREADS=4` — and diffs the outputs: the per-sample Adam
-//! learner and the length-bucketed batched inference path must be
-//! completely unaffected by the thread configuration.
+//! `FONDUER_THREADS=4` — and diffs both outputs against the committed
+//! `crates/bench/train_determinism.golden`: the per-sample Adam learner
+//! and the shared-window batched inference path must be completely
+//! unaffected by the thread configuration, and a change to the training
+//! or inference numerics shows up as a diff. Regenerate the golden only
+//! for a change that means to move those bits:
+//!
+//! ```bash
+//! cargo run -q --release -p fonduer-bench --bin train_determinism \
+//!     > crates/bench/train_determinism.golden
+//! ```
 
 use fonduer_candidates::ContextScope;
 use fonduer_core::domains::electronics;

@@ -37,6 +37,8 @@ pub use pipeline::{
     is_train_doc, reachable_tuples, run_task, Learner, PipelineConfig, PipelineConfigBuilder,
     PipelineOutput, Task, Timings,
 };
-pub use report::{CriticalPath, DocReport, PoolTelemetry, RunReport, StageCoverage, StageTiming};
+pub use report::{
+    CriticalPath, DocReport, PoolTelemetry, RunReport, StageCoverage, StageTiming, WindowSharing,
+};
 pub use session::shard_cache::{ShardCacheSummary, ShardKey};
 pub use session::{PipelineSession, SessionStats, StageId, StageStats, SupervisionArtifact};

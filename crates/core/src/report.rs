@@ -123,6 +123,28 @@ pub struct CriticalPath {
     pub fraction: f64,
 }
 
+/// How much mention-window encoding inference shared: the windows the
+/// model read (one per candidate slot, `infer.windows`) against the
+/// distinct non-empty windows it ran through the Bi-LSTM
+/// (`infer.windows_encoded`). Process-wide counter totals.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WindowSharing {
+    /// Mention windows read.
+    pub windows: u64,
+    /// Distinct windows encoded.
+    pub encoded: u64,
+}
+
+impl WindowSharing {
+    /// Windows read per window encoded (0 when nothing was encoded).
+    pub fn ratio(&self) -> f64 {
+        if self.encoded == 0 {
+            return 0.0;
+        }
+        self.windows as f64 / self.encoded as f64
+    }
+}
+
 /// A queryable join of span summaries, cache statistics, pool telemetry,
 /// and per-document stage timings for one session. Built by
 /// [`crate::PipelineSession::run_report`].
@@ -137,6 +159,8 @@ pub struct RunReport {
     pub shards: ShardCacheSummary,
     /// Work-stealing pool telemetry.
     pub pool: PoolTelemetry,
+    /// Inference's mention-window sharing.
+    pub windows: WindowSharing,
     /// Per-document stage timings, slowest first (bounded by
     /// `FONDUER_DOC_TIMINGS_CAP`).
     pub docs: Vec<DocReport>,
@@ -206,11 +230,16 @@ impl RunReport {
                 }
             })
             .collect();
+        let windows = WindowSharing {
+            windows: snap.counter("infer.windows"),
+            encoded: snap.counter("infer.windows_encoded"),
+        };
         RunReport {
             stages,
             cache,
             shards,
             pool,
+            windows,
             docs,
             docs_dropped: observe::doc_timings_dropped(),
             n_threads,
@@ -274,7 +303,7 @@ impl RunReport {
     }
 
     /// Human-readable rendering: critical path, stage table, cache line,
-    /// pool telemetry, and the top-5 slowest documents.
+    /// pool telemetry, window sharing, and the top-5 slowest documents.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
         let cp = self.critical_path();
@@ -318,6 +347,14 @@ impl RunReport {
                 b.p50, b.p95, i.p50, i.p95,
             );
         }
+        let w = &self.windows;
+        let _ = writeln!(
+            out,
+            "infer windows: read={} encoded={} sharing={:.1}x",
+            w.windows,
+            w.encoded,
+            w.ratio(),
+        );
         if !self.docs.is_empty() {
             let _ = writeln!(
                 out,
@@ -345,7 +382,7 @@ impl RunReport {
 
     /// Machine-readable rendering: one JSON object per line with a
     /// `"kind"` discriminator (`critical_path` | `stage` | `cache` |
-    /// `pool` | `doc`).
+    /// `shard_cache` | `pool` | `infer_windows` | `doc`).
     pub fn render_jsonl(&self) -> String {
         let mut out = String::new();
         let cp = self.critical_path();
@@ -389,6 +426,14 @@ impl RunReport {
             p.tasks,
             p.local_hits,
             p.steals,
+        );
+        let w = &self.windows;
+        let _ = writeln!(
+            out,
+            "{{\"kind\":\"infer_windows\",\"windows\":{},\"encoded\":{},\"sharing\":{}}}",
+            w.windows,
+            w.encoded,
+            observe::json::number(w.ratio()),
         );
         for d in &self.docs {
             let stages: Vec<String> = d
@@ -468,6 +513,7 @@ mod tests {
             cache: SessionStats::default(),
             shards: ShardCacheSummary::default(),
             pool: PoolTelemetry::default(),
+            windows: WindowSharing::default(),
             docs,
             docs_dropped: 0,
             n_threads: 1,

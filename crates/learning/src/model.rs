@@ -13,16 +13,27 @@
 //! ## Execution strategy
 //!
 //! Training is strictly per-sample (the committed semantics: shuffle,
-//! forward, BCE, backward, dense Adam — in that order, sample by sample),
-//! but every activation lives in a flat, reused
-//! [`fonduer_tensor::Mat`] workspace and all dense math runs through the
-//! unrolled `fonduer-tensor` kernels, so an epoch is allocation-free in
-//! steady state. Inference ([`ProbClassifier::predict`]) additionally
-//! buckets mention sequences by length across candidates and runs the
-//! Bi-LSTM as batched GEMMs ([`fonduer_nn::BiLstm::forward_batch`]);
-//! because inference is pure per candidate and batched gate math runs the
-//! same dot kernel row-for-row, bucketing preserves input-order
-//! determinism exactly.
+//! forward, BCE, backward, Adam — in that order, sample by sample), but
+//! every activation lives in a flat, reused [`fonduer_tensor::Mat`]
+//! workspace and all dense math runs through the unrolled
+//! `fonduer-tensor` kernels, so an epoch is allocation-free in steady
+//! state. Each Adam step sweeps the non-embedding parameters plus only the
+//! embedding rows some step's gradient has reached
+//! ([`fonduer_nn::ParamStore::adam_step_rows`]): a row no gradient has
+//! reached has `g = m = v = 0`, which a dense step leaves unchanged bit for
+//! bit, and the training windows reach only a small share of the
+//! vocabulary (123–143 of 2,056 rows on 512-document ELECTRONICS corpora).
+//!
+//! Inference ([`ProbClassifier::predict`]) encodes each distinct mention
+//! window once. Candidates are cross products of mentions, so the same
+//! marker-wrapped window recurs across candidates; windows are keyed by
+//! their token ids (each slot's markers are part of them), bucketed by
+//! length, and run through the Bi-LSTM as batched GEMMs
+//! ([`fonduer_nn::BiLstm::forward_batch`]) and attention. Each candidate
+//! then gathers its slots' pooled rows into the output layer and adds its
+//! sparse feature weights. The batched kernels compute every row with the
+//! same dot products whatever else the batch holds, so the marginals are
+//! bit-identical to predicting each candidate alone.
 //!
 //! The pre-rewrite scalar path is preserved via `fonduer_nn::reference`
 //! and exposed through hidden `*_reference` hooks; the golden-parity tests
@@ -36,7 +47,7 @@ use fonduer_nn::{
 use fonduer_tensor::{self as tensor, Mat};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
 
 /// Hyperparameters for [`FonduerModel`] and the baselines that reuse it.
@@ -125,6 +136,11 @@ pub struct FonduerModel {
     out: Linear,
     feat_w: ParamId,
     arity: usize,
+    /// Embedding rows any training step has reached, ascending. Every
+    /// other row still has `g = m = v = 0`, which an Adam step leaves
+    /// unchanged, so each step sweeps only these rows and the dense tail.
+    /// Kept for the model's lifetime: `m` and `v` outlive one `fit`.
+    reached_rows: Vec<u32>,
 }
 
 /// Reusable flat activation workspace for one candidate. Every matrix
@@ -186,6 +202,7 @@ impl FonduerModel {
             out,
             feat_w,
             arity,
+            reached_rows: Vec::new(),
         }
     }
 
@@ -261,14 +278,35 @@ impl FonduerModel {
         }
     }
 
+    /// Collect the sample's distinct token ids — the embedding rows its
+    /// gradient touches — into `tok_ids`, ascending, and add them to the
+    /// reached rows.
+    fn reach_rows(&mut self, input: &CandidateInput, tok_ids: &mut Vec<u32>) {
+        tok_ids.clear();
+        if !self.cfg.use_lstm {
+            return;
+        }
+        for toks in &input.mention_tokens {
+            tok_ids.extend_from_slice(toks);
+        }
+        tok_ids.sort_unstable();
+        tok_ids.dedup();
+        for &t in tok_ids.iter() {
+            if let Err(at) = self.reached_rows.binary_search(&t) {
+                self.reached_rows.insert(at, t);
+            }
+        }
+    }
+
     /// Squared gradient norm over the gradient's support: the dense
-    /// non-embedding tail of the store plus the embedding rows of this
-    /// sample's tokens. Exact, not approximate: the fast path maintains an
-    /// all-zero gradient invariant between steps (the Adam sweep consumes
-    /// `g`), so every untouched embedding row is exactly zero and
-    /// contributes nothing to the norm — only the summation grouping
-    /// differs from a full sweep, which the 1e-5 parity suite absorbs.
-    fn grad_sq_support(&self, input: &CandidateInput, tok_ids: &mut Vec<u32>) -> f32 {
+    /// non-embedding tail of the store plus the embedding rows `tok_ids`
+    /// of this sample (from [`FonduerModel::reach_rows`]). Exact, not
+    /// approximate: the fast path maintains an all-zero gradient invariant
+    /// between steps (the Adam sweep consumes `g`), so every untouched
+    /// embedding row is exactly zero and contributes nothing to the norm —
+    /// only the summation grouping differs from a full sweep, which the
+    /// 1e-5 parity suite absorbs.
+    fn grad_sq_support(&self, tok_ids: &[u32]) -> f32 {
         // The embedding table is the store's first allocation; everything
         // after it is the dense tail swept below.
         debug_assert!(std::ptr::eq(
@@ -277,18 +315,10 @@ impl FonduerModel {
         ));
         let emb_len = self.emb.table.len();
         let mut sq = tensor::sq_sum(&self.store.g[emb_len..]);
-        if self.cfg.use_lstm {
-            tok_ids.clear();
-            for toks in &input.mention_tokens {
-                tok_ids.extend_from_slice(toks);
-            }
-            tok_ids.sort_unstable();
-            tok_ids.dedup();
-            let d = self.cfg.d_emb;
-            for &t in tok_ids.iter() {
-                let o = t as usize * d;
-                sq += tensor::sq_sum(&self.store.g[o..o + d]);
-            }
+        let d = self.cfg.d_emb;
+        for &t in tok_ids {
+            let o = t as usize * d;
+            sq += tensor::sq_sum(&self.store.g[o..o + d]);
         }
         sq
     }
@@ -427,6 +457,9 @@ impl FonduerModel {
             for &i in &order {
                 let loss = if use_reference {
                     let loss = self.debug_step(&inputs[i], targets[i], true);
+                    // The dense step moves this sample's rows too; keep
+                    // them reached for a later `fit`.
+                    self.reach_rows(&inputs[i], &mut ws.tok_ids);
                     self.store.adam_step(self.cfg.lr, Some(self.cfg.clip));
                     loss
                 } else {
@@ -434,10 +467,17 @@ impl FonduerModel {
                     let (loss, dz) = bce_with_logit(z, targets[i]);
                     self.backward_ws(&inputs[i], &mut ws, dz);
                     // Clip norm over the gradient's support only — the
-                    // consuming Adam sweep keeps everything else at zero.
-                    let gsq = self.grad_sq_support(&inputs[i], &mut ws.tok_ids);
-                    self.store
-                        .adam_step_with_grad_sq(self.cfg.lr, Some(self.cfg.clip), gsq);
+                    // consuming Adam sweep keeps everything else at zero —
+                    // and step only the rows that can move.
+                    self.reach_rows(&inputs[i], &mut ws.tok_ids);
+                    let gsq = self.grad_sq_support(&ws.tok_ids);
+                    self.store.adam_step_rows(
+                        self.cfg.lr,
+                        Some(self.cfg.clip),
+                        gsq,
+                        self.emb.table,
+                        &self.reached_rows,
+                    );
                     loss
                 };
                 epoch_loss += loss as f64;
@@ -460,62 +500,105 @@ impl FonduerModel {
         }
     }
 
-    /// Batched inference: bucket `(candidate, mention)` sequences by token
-    /// length, run each bucket through the Bi-LSTM as timestep-major GEMMs,
-    /// then pool/score per candidate. Output order and values match the
-    /// sequential path exactly — inference is pure per candidate and the
-    /// batched kernels run the same per-row dot products.
-    fn predict_batched(&self, inputs: &[CandidateInput]) -> Vec<f32> {
-        let d_attn = self.cfg.d_attn;
-        // Pooled textual vectors, one row per candidate.
-        let mut pooled = Mat::zeros(inputs.len(), self.arity * d_attn);
-        if self.cfg.use_lstm {
-            let mut buckets: BTreeMap<usize, Vec<(usize, usize)>> = BTreeMap::new();
-            for (ci, inp) in inputs.iter().enumerate() {
-                for (slot, toks) in inp.mention_tokens.iter().enumerate() {
-                    if !toks.is_empty() {
-                        buckets.entry(toks.len()).or_default().push((ci, slot));
-                    }
-                    // Empty sequences pool to zero — already the row's value.
-                }
-            }
-            let mut xs = Mat::default();
-            let mut hs_all = Mat::default();
-            let mut seq_hs = Mat::default();
-            let mut scratch = BiBatchScratch::default();
-            let mut attn_cache = AttentionCache::default();
-            for (&len, members) in &buckets {
-                let batch = members.len();
-                xs.resize(len * batch, self.cfg.d_emb);
-                let table = self.store.p(self.emb.table);
-                for (b, &(ci, slot)) in members.iter().enumerate() {
-                    for (t, &tok) in inputs[ci].mention_tokens[slot].iter().enumerate() {
-                        let idx = tok as usize * self.cfg.d_emb;
-                        xs.row_mut(t * batch + b)
-                            .copy_from_slice(&table[idx..idx + self.cfg.d_emb]);
-                    }
-                }
-                self.bilstm
-                    .forward_batch(&self.store, &xs, batch, &mut scratch, &mut hs_all);
-                for (b, &(ci, slot)) in members.iter().enumerate() {
-                    seq_hs.resize(len, self.bilstm.d_out());
-                    for t in 0..len {
-                        seq_hs.row_mut(t).copy_from_slice(hs_all.row(t * batch + b));
-                    }
-                    self.attn.forward_flat(
-                        &self.store,
-                        &seq_hs,
-                        &mut attn_cache,
-                        &mut pooled.row_mut(ci)[slot * d_attn..(slot + 1) * d_attn],
-                    );
-                }
+    /// Textual encoding for inference: each distinct mention window runs
+    /// through the Bi-LSTM and attention once. Returns one pooled `d_attn`
+    /// row per distinct window, and per `(candidate, slot)`, in input
+    /// order, the row of its window.
+    ///
+    /// Windows are keyed by their token ids: every slot runs the same
+    /// encoder and each slot's markers are part of its ids, so equal ids
+    /// pool to equal vectors. Distinct windows are bucketed by length and
+    /// each bucket runs as timestep-major GEMMs
+    /// ([`fonduer_nn::BiLstm::forward_batch`]), whose kernels compute
+    /// every row with the same dot products whatever else the batch holds.
+    /// Empty windows are not encoded and pool to zero.
+    fn encode_windows(&self, inputs: &[CandidateInput]) -> (Mat, Vec<u32>) {
+        // Distinct windows in first-occurrence order; the map only serves
+        // lookups and is never iterated.
+        let mut windows: Vec<&[u32]> = Vec::new();
+        let mut index: HashMap<&[u32], u32> = HashMap::new();
+        let mut slot_window = Vec::new();
+        for inp in inputs {
+            for toks in &inp.mention_tokens {
+                let w = *index.entry(toks.as_slice()).or_insert_with(|| {
+                    windows.push(toks);
+                    (windows.len() - 1) as u32
+                });
+                slot_window.push(w);
             }
         }
+        let mut buckets: BTreeMap<usize, Vec<u32>> = BTreeMap::new();
+        for (w, toks) in windows.iter().enumerate() {
+            if !toks.is_empty() {
+                buckets.entry(toks.len()).or_default().push(w as u32);
+            }
+        }
+        fonduer_observe::counter("infer.windows", slot_window.len() as u64);
+        fonduer_observe::counter(
+            "infer.windows_encoded",
+            buckets.values().map(Vec::len).sum::<usize>() as u64,
+        );
+        let mut pooled = Mat::zeros(windows.len(), self.cfg.d_attn);
+        let mut xs = Mat::default();
+        let mut hs_all = Mat::default();
+        let mut seq_hs = Mat::default();
+        let mut scratch = BiBatchScratch::default();
+        let mut attn_cache = AttentionCache::default();
+        let table = self.store.p(self.emb.table);
+        let d_emb = self.cfg.d_emb;
+        for (&len, members) in &buckets {
+            let batch = members.len();
+            xs.resize(len * batch, d_emb);
+            for (b, &w) in members.iter().enumerate() {
+                for (t, &tok) in windows[w as usize].iter().enumerate() {
+                    let idx = tok as usize * d_emb;
+                    xs.row_mut(t * batch + b)
+                        .copy_from_slice(&table[idx..idx + d_emb]);
+                }
+            }
+            self.bilstm
+                .forward_batch(&self.store, &xs, batch, &mut scratch, &mut hs_all);
+            for (b, &w) in members.iter().enumerate() {
+                seq_hs.resize(len, self.bilstm.d_out());
+                for t in 0..len {
+                    seq_hs.row_mut(t).copy_from_slice(hs_all.row(t * batch + b));
+                }
+                self.attn.forward_flat(
+                    &self.store,
+                    &seq_hs,
+                    &mut attn_cache,
+                    pooled.row_mut(w as usize),
+                );
+            }
+        }
+        (pooled, slot_window)
+    }
+
+    /// Batched inference: encode the distinct windows once
+    /// ([`FonduerModel::encode_windows`]), then score each candidate from
+    /// its slots' pooled rows and its sparse features. Bit-identical to
+    /// scoring each candidate alone.
+    fn predict_shared(&self, inputs: &[CandidateInput]) -> Vec<f32> {
+        let d_attn = self.cfg.d_attn;
+        let (pooled, slot_window) = if self.cfg.use_lstm {
+            self.encode_windows(inputs)
+        } else {
+            (Mat::default(), Vec::new())
+        };
+        // The candidate's `[t_1 … t_n]`; slots without a window stay zero.
+        let mut concat = vec![0.0f32; self.arity * d_attn];
+        let mut at = 0;
         let mut out = Vec::with_capacity(inputs.len());
-        for (ci, inp) in inputs.iter().enumerate() {
+        for inp in inputs {
             let mut z = if self.cfg.use_lstm {
+                let ids = &slot_window[at..at + inp.mention_tokens.len()];
+                at += ids.len();
+                concat.fill(0.0);
+                for (t, &w) in concat.chunks_exact_mut(d_attn).zip(ids) {
+                    t.copy_from_slice(pooled.row(w as usize));
+                }
                 let mut y = [0.0f32];
-                self.out.forward_into(&self.store, pooled.row(ci), &mut y);
+                self.out.forward_into(&self.store, &concat, &mut y);
                 y[0]
             } else {
                 self.store.p(self.out.b)[0]
@@ -541,7 +624,7 @@ impl ProbClassifier for FonduerModel {
 
     fn predict(&self, inputs: &[CandidateInput]) -> Vec<f32> {
         let _span = fonduer_observe::span("model_predict");
-        let out = self.predict_batched(inputs);
+        let out = self.predict_shared(inputs);
         for &p in &out {
             fonduer_observe::hist_record(
                 "infer.marginal_permille",
@@ -698,6 +781,56 @@ mod tests {
                 (b - s).abs() < 1e-6,
                 "batched {b} vs sequential {s} must agree"
             );
+        }
+    }
+
+    /// Windows repeated across candidates and across slots, empty windows,
+    /// and ragged lengths. Three different windows of length 3 share a
+    /// bucket, and windows that differ only in their last token, or extend
+    /// another, must not share an encoding.
+    fn shared_windows() -> Vec<CandidateInput> {
+        let pool: [&[u32]; 7] = [
+            &[],
+            &[7],
+            &[1, 2, 3],
+            &[3, 2, 1],
+            &[1, 2, 4],
+            &[1, 2, 3, 4],
+            &[10, 11, 12, 13, 14, 15, 16],
+        ];
+        (0..40)
+            .map(|i: usize| CandidateInput {
+                // Candidates 3, 10, 17, … carry one window in both slots.
+                mention_tokens: vec![pool[i % 7].to_vec(), pool[(3 * i + 1) % 7].to_vec()],
+                features: vec![(i % 5) as u32].into(),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn shared_predict_matches_predict_alone_bitwise() {
+        let inputs = shared_windows();
+        let targets: Vec<f32> = (0..inputs.len())
+            .map(|i| if i % 3 == 0 { 0.9 } else { 0.1 })
+            .collect();
+        let mut m = FonduerModel::new(
+            ModelConfig {
+                epochs: 2,
+                ..Default::default()
+            },
+            20,
+            5,
+            2,
+        );
+        m.fit(&inputs, &targets);
+        let all = m.predict(&inputs);
+        for (i, (inp, &p)) in inputs.iter().zip(&all).enumerate() {
+            // A batch of one shares nothing with other candidates.
+            let alone = m.predict(std::slice::from_ref(inp))[0];
+            assert_eq!(p.to_bits(), alone.to_bits(), "candidate {i}");
+            // `predict_one` runs the unbatched kernels.
+            let s = m.predict_one(inp);
+            assert!((p - s).abs() < 1e-6, "shared {p} vs sequential {s}");
         }
     }
 

@@ -2,10 +2,16 @@
 //!
 //! All trainable parameters of a model live in one [`ParamStore`]: layers
 //! allocate slices at construction and index them via [`ParamId`]. The flat
-//! layout makes the optimizer a single loop and gradient zeroing a `fill`.
+//! layout makes the optimizer a single loop and gradient zeroing a `fill`;
+//! [`ParamStore::adam_step_rows`] narrows the loop to the rows of an
+//! embedding table that gradients have reached.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+const ADAM_B1: f32 = 0.9;
+const ADAM_B2: f32 = 0.999;
+const ADAM_EPS: f32 = 1e-8;
 
 /// Handle to a parameter block inside a [`ParamStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,20 +151,43 @@ impl ParamStore {
         } else {
             0.0
         };
-        self.adam_step_with_grad_sq(lr, clip, grad_sq);
+        let coef = self.adam_begin(clip, grad_sq);
+        self.adam_sweep(0..self.w.len(), lr, coef);
     }
 
-    /// [`Self::adam_step`] with the squared gradient norm supplied by the
-    /// caller. Callers that know the gradient's support (which blocks a
-    /// backward pass actually touched) can compute the norm over just that
-    /// support instead of paying a full sweep over `g` — exact as long as
-    /// every untouched entry is exactly zero, which the consuming
-    /// [`Self::adam_step`] guarantees between steps.
-    pub fn adam_step_with_grad_sq(&mut self, lr: f32, clip: Option<f32>, grad_sq: f32) {
+    /// [`Self::adam_step`] over only the entries a step can change: every
+    /// parameter outside the `table` block, plus the listed `rows` of
+    /// `table` (distinct, ascending). The squared gradient norm comes from
+    /// the caller, who knows which blocks its backward pass touched.
+    ///
+    /// Exact, bit for bit, when every unlisted row of `table` has
+    /// `g = m = v = 0`: the dense update then computes `m = v = 0` and
+    /// `w −= 0` for it, so skipping the row changes nothing. A row whose
+    /// gradient was ever nonzero keeps decaying `m` and `v` afterwards, so
+    /// callers list every row any step has reached, not just this step's.
+    /// The update is elementwise, so sweeping the blocks separately gives
+    /// the same bits as one sweep.
+    pub fn adam_step_rows(
+        &mut self,
+        lr: f32,
+        clip: Option<f32>,
+        grad_sq: f32,
+        table: ParamId,
+        rows: &[u32],
+    ) {
+        debug_assert!(rows.windows(2).all(|p| p[0] < p[1]));
+        let coef = self.adam_begin(clip, grad_sq);
+        self.adam_sweep(0..table.offset, lr, coef);
+        for &r in rows {
+            let o = table.offset + r as usize * table.cols;
+            self.adam_sweep(o..o + table.cols, lr, coef);
+        }
+        self.adam_sweep(table.offset + table.len()..self.w.len(), lr, coef);
+    }
+
+    /// Count the step and return its `(clip scale, bc1, bc2)`.
+    fn adam_begin(&mut self, clip: Option<f32>, grad_sq: f32) -> (f32, f32, f32) {
         fonduer_observe::counter("nn.adam_steps", 1);
-        const B1: f32 = 0.9;
-        const B2: f32 = 0.999;
-        const EPS: f32 = 1e-8;
         let mut scale = 1.0f32;
         if let Some(max_norm) = clip {
             let norm = grad_sq.sqrt();
@@ -167,17 +196,27 @@ impl ParamStore {
             }
         }
         self.t += 1;
-        let bc1 = 1.0 - B1.powi(self.t as i32);
-        let bc2 = 1.0 - B2.powi(self.t as i32);
+        let bc1 = 1.0 - ADAM_B1.powi(self.t as i32);
+        let bc2 = 1.0 - ADAM_B2.powi(self.t as i32);
+        (scale, bc1, bc2)
+    }
+
+    /// The fused, gradient-consuming Adam update over `range`.
+    fn adam_sweep(
+        &mut self,
+        range: std::ops::Range<usize>,
+        lr: f32,
+        (scale, bc1, bc2): (f32, f32, f32),
+    ) {
         fonduer_tensor::adam_step_consume(
-            &mut self.w,
-            &mut self.g,
-            &mut self.m,
-            &mut self.v,
+            &mut self.w[range.clone()],
+            &mut self.g[range.clone()],
+            &mut self.m[range.clone()],
+            &mut self.v[range],
             lr,
-            B1,
-            B2,
-            EPS,
+            ADAM_B1,
+            ADAM_B2,
+            ADAM_EPS,
             bc1,
             bc2,
             scale,
@@ -272,6 +311,80 @@ mod tests {
             s.adam_step(0.05, None);
         }
         assert!((s.p(id)[0] - 3.0).abs() < 0.05, "{}", s.p(id)[0]);
+    }
+
+    /// A reached-rows step is bit-identical to a dense step over many steps
+    /// of random sparse row gradients: rows reached only in the first
+    /// steps keep decaying `m` and `v` afterwards, other rows are first
+    /// reached late, and some are never reached.
+    #[test]
+    fn reached_rows_step_matches_dense_step_bitwise() {
+        // Five columns, so rows straddle the kernels' 8-lane chunks.
+        let (n_rows, d) = (40usize, 5usize);
+        let mut sparse = ParamStore::new(3);
+        let table = sparse.alloc(n_rows, d);
+        let tail = sparse.alloc(3, 7);
+        sparse.alloc_zeros(4, 1);
+        let mut dense = sparse.clone();
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut reached: Vec<u32> = Vec::new();
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut early_m = Vec::new();
+        for step in 0..400 {
+            // Rows 0..8 only in the first 30 steps, rows 8..30 from step
+            // 100 on, rows 30..40 never.
+            let pool = match step {
+                0..=29 => 0..8u32,
+                30..=99 => 0..0,
+                _ => 8..30,
+            };
+            let mut rows: Vec<u32> = Vec::new();
+            if !pool.is_empty() {
+                for _ in 0..rng.gen_range(1..4usize) {
+                    rows.push(rng.gen_range(pool.clone()));
+                }
+            }
+            for s in [&mut sparse, &mut dense] {
+                let mut r = StdRng::seed_from_u64(step);
+                for &row in &rows {
+                    let o = row as usize * d;
+                    for g in &mut s.grad_mut(table)[o..o + d] {
+                        *g += r.gen_range(-2.0f32..2.0);
+                    }
+                }
+                for g in s.grad_mut(tail) {
+                    *g = if r.gen_bool(0.5) {
+                        r.gen_range(-1.0f32..1.0)
+                    } else {
+                        0.0
+                    };
+                }
+            }
+            rows.sort_unstable();
+            rows.dedup();
+            for row in rows {
+                if let Err(at) = reached.binary_search(&row) {
+                    reached.insert(at, row);
+                }
+            }
+            // Clip at 1.0 so some steps rescale.
+            let grad_sq = fonduer_tensor::sq_sum(&sparse.g);
+            sparse.adam_step_rows(0.05, Some(1.0), grad_sq, table, &reached);
+            dense.adam_step(0.05, Some(1.0));
+            assert_eq!(bits(&sparse.w), bits(&dense.w), "w at step {step}");
+            assert_eq!(bits(&sparse.m), bits(&dense.m), "m at step {step}");
+            assert_eq!(bits(&sparse.v), bits(&dense.v), "v at step {step}");
+            assert_eq!(bits(&sparse.g), bits(&dense.g), "g at step {step}");
+            if step == 30 {
+                early_m = dense.m[..8 * d].to_vec();
+            }
+        }
+        // The early rows' moments kept moving after their last gradient,
+        // and the never-reached rows were never touched.
+        assert!(early_m.iter().any(|&m| m != 0.0));
+        assert_ne!(bits(&early_m), bits(&dense.m[..8 * d]));
+        assert!(dense.m[30 * d..n_rows * d].iter().all(|&m| m == 0.0));
+        assert_eq!(reached.len(), 30);
     }
 
     #[test]

@@ -93,10 +93,18 @@ fn report_joins_stages_cache_pool_and_docs() {
     assert!(cp.stage_us > 0);
     assert!(cp.fraction > 0.0 && cp.fraction <= 1.0);
 
+    // The default LSTM learner read every candidate's windows and encoded
+    // each distinct one once.
+    let w = report.windows;
+    assert!(w.encoded > 0 && w.encoded <= w.windows, "{w:?}");
+    assert!(w.ratio() >= 1.0);
+
     // Renderings: text mentions the critical path; JSONL parses per line.
     let text = report.render_text();
     assert!(text.contains("critical path:"));
+    assert!(text.contains("infer windows: read="));
     assert!(text.contains("slowest documents"));
+    assert!(report.render_jsonl().contains("\"kind\":\"infer_windows\""));
     for line in report.render_jsonl().lines() {
         observe::json::parse(line).unwrap_or_else(|e| panic!("bad report line ({e}): {line}"));
     }
