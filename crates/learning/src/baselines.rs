@@ -169,13 +169,13 @@ impl DocRnnModel {
             .iter()
             .map(|&t| self.emb.forward(&self.store, t as usize))
             .collect();
-        let (hs, lc) = self.bilstm.forward_seq(&self.store, &xs);
-        let (t, ac) = self.attn.forward(&self.store, &hs);
+        let (hs, mut lc) = self.bilstm.forward_seq(&self.store, &xs);
+        let (t, mut ac) = self.attn.forward(&self.store, &hs);
         let z = self.out.forward(&self.store, &t)[0];
         let (loss, dz) = bce_with_logit(z, target);
         let dt = self.out.backward(&mut self.store, &t, &[dz]);
-        let dhs = self.attn.backward(&mut self.store, &ac, &dt);
-        let dxs = self.bilstm.backward_seq(&mut self.store, &lc, &dhs);
+        let dhs = self.attn.backward(&mut self.store, &mut ac, &dt);
+        let dxs = self.bilstm.backward_seq(&mut self.store, &mut lc, &dhs);
         for (k, &tok) in toks.iter().enumerate() {
             self.emb.backward(&mut self.store, tok as usize, &dxs[k]);
         }

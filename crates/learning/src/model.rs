@@ -14,15 +14,37 @@
 //!
 //! Training is strictly per-sample (the committed semantics: shuffle,
 //! forward, BCE, backward, Adam — in that order, sample by sample), but
-//! every activation lives in a flat, reused [`fonduer_tensor::Mat`]
-//! workspace and all dense math runs through the unrolled
-//! `fonduer-tensor` kernels, so an epoch is allocation-free in steady
-//! state. Each Adam step sweeps the non-embedding parameters plus only the
-//! embedding rows some step's gradient has reached
+//! every activation and backward buffer lives in a flat, reused
+//! [`fonduer_tensor::Mat`] workspace or layer cache, and all dense math
+//! runs through the unrolled `fonduer-tensor` kernels, so a training step
+//! allocates nothing once the buffers have reached their largest shapes
+//! (`tests/train_alloc_budget.rs`). Each Adam step sweeps the
+//! non-embedding parameters plus only the embedding rows some step's
+//! gradient has reached
 //! ([`fonduer_nn::ParamStore::adam_step_rows`]): a row no gradient has
 //! reached has `g = m = v = 0`, which a dense step leaves unchanged bit for
 //! bit, and the training windows reach only a small share of the
 //! vocabulary (123–143 of 2,056 rows on 512-document ELECTRONICS corpora).
+//!
+//! The clip norm and the Adam step flush subnormals to zero
+//! ([`fonduer_tensor::sq_sum_ftz`],
+//! [`fonduer_tensor::adam_step_consume_ftz`]): a result smaller in
+//! magnitude than 2^-126 is stored as ±0 instead of as a subnormal. The
+//! model trains on the generative model's noise-aware labels, most of
+//! which lie within 1e-6 of 0 or 1 on ELECTRONICS. As the model fits
+//! them, hundreds of gradient entries per step fall below 2^-63, their
+//! squares in the clip norm and in Adam's second moment come out
+//! subnormal, and x86 computes each of those in a slow microcode assist.
+//! Flushing them cuts `fit` by about a quarter on `elec_lstm` corpora.
+//! What the flush drops is below 2^-126, far less than one rounding step
+//! of the clip threshold, of Adam's `sqrt(v) + 1e-8` denominator and of
+//! the weights an update moves, and the marginals of every corpus
+//! measured come out bit-identical (`train_determinism`'s session section
+//! pins one). The two kernels set the flush-to-zero mode only inside
+//! their own `asm!` loops: Rust code must run in the default float mode,
+//! so the backward pass, whose few subnormals the flag would also catch,
+//! keeps computing them. Only this model's fast path flushes:
+//! `fit_reference`, the other learners and inference compute as before.
 //!
 //! Inference ([`ProbClassifier::predict`]) encodes each distinct mention
 //! window once. Candidates are cross products of mentions, so the same
@@ -143,19 +165,19 @@ pub struct FonduerModel {
     reached_rows: Vec<u32>,
 }
 
-/// Reusable flat activation workspace for one candidate. Every matrix
-/// keeps its arena across samples, so a training epoch or prediction sweep
-/// performs no per-sample allocations once the high-water shapes are
-/// reached.
+/// Reusable flat activation workspace for one candidate. Every matrix,
+/// cache and vector keeps its capacity across samples, so a training epoch
+/// or prediction sweep performs no per-sample allocations once the
+/// high-water shapes are reached.
 #[derive(Default)]
 struct Workspace {
     /// Per mention: `T × d_emb` embedded tokens.
     emb: Vec<Mat>,
-    /// Per mention: Bi-LSTM BPTT cache.
+    /// Per mention: Bi-LSTM BPTT cache, with its backward scratch.
     lstm: Vec<BiLstmCache>,
     /// Per mention: `T × 2h` hidden states.
     hs: Vec<Mat>,
-    /// Per mention: attention cache.
+    /// Per mention: attention cache, with its backward scratch.
     attn: Vec<AttentionCache>,
     /// Concatenated pooled vectors `[t_1 … t_n]`.
     concat: Vec<f32>,
@@ -266,11 +288,16 @@ impl FonduerModel {
             for (i, toks) in input.mention_tokens.iter().enumerate() {
                 let d_t = &ws.dcat[i * self.cfg.d_attn..(i + 1) * self.cfg.d_attn];
                 ws.dhs.resize(ws.hs[i].rows(), self.bilstm.d_out());
-                self.attn
-                    .backward_flat(&mut self.store, &ws.hs[i], &ws.attn[i], d_t, &mut ws.dhs);
+                self.attn.backward_flat(
+                    &mut self.store,
+                    &ws.hs[i],
+                    &mut ws.attn[i],
+                    d_t,
+                    &mut ws.dhs,
+                );
                 ws.demb.resize(toks.len(), self.cfg.d_emb);
                 self.bilstm
-                    .backward_flat(&mut self.store, &ws.lstm[i], &ws.dhs, &mut ws.demb);
+                    .backward_flat(&mut self.store, &mut ws.lstm[i], &ws.dhs, &mut ws.demb);
                 self.emb.scatter_grad(&mut self.store, toks, &ws.demb);
             }
         } else {
@@ -314,11 +341,11 @@ impl FonduerModel {
             self.store.g.as_ptr()
         ));
         let emb_len = self.emb.table.len();
-        let mut sq = tensor::sq_sum(&self.store.g[emb_len..]);
+        let mut sq = tensor::sq_sum_ftz(&self.store.g[emb_len..]);
         let d = self.cfg.d_emb;
         for &t in tok_ids {
             let o = t as usize * d;
-            sq += tensor::sq_sum(&self.store.g[o..o + d]);
+            sq += tensor::sq_sum_ftz(&self.store.g[o..o + d]);
         }
         sq
     }

@@ -33,12 +33,20 @@ pub struct Attention {
 
 /// Cache for the backward pass. `hs` is only populated by the legacy
 /// [`Attention::forward`] wrapper; flat callers keep the hidden states
-/// themselves and pass them back to [`Attention::backward_flat`].
+/// themselves and pass them back to [`Attention::backward_flat`]. The
+/// backward scratch keeps its capacity, so a reused cache is
+/// allocation-free in steady state.
 #[derive(Debug, Clone, Default)]
 pub struct AttentionCache {
     us: Mat,
     alphas: Vec<f32>,
     hs: Mat,
+    /// Backward scratch: `dL/dα` (`n`).
+    dalpha: Vec<f32>,
+    /// Backward scratch: grad of the context vector (`d_attn`).
+    d_uw: Vec<f32>,
+    /// Backward scratch: grad of one projected state (`d_attn`).
+    du: Vec<f32>,
 }
 
 impl Attention {
@@ -105,7 +113,7 @@ impl Attention {
         &self,
         store: &mut ParamStore,
         hs: &Mat,
-        cache: &AttentionCache,
+        cache: &mut AttentionCache,
         dt: &[f32],
         dhs: &mut Mat,
     ) {
@@ -115,29 +123,36 @@ impl Attention {
         }
         debug_assert_eq!(hs.rows(), n);
         debug_assert_eq!(dhs.rows(), n);
+        let AttentionCache {
+            us,
+            alphas,
+            dalpha,
+            d_uw,
+            du,
+            ..
+        } = cache;
         // t = Σ α_j u_j ; scores s_j = u_j · u_w ; α = softmax(s).
         // dL/du_j = α_j dt + (dL/ds_j) u_w ;  dL/dα_j = dt · u_j.
-        let mut dalpha = vec![0.0f32; n];
-        for (j, d) in dalpha.iter_mut().enumerate() {
-            *d = tensor::dot(dt, cache.us.row(j));
-        }
+        dalpha.clear();
+        dalpha.extend((0..n).map(|j| tensor::dot(dt, us.row(j))));
         // Softmax backward: ds_j = α_j (dα_j - Σ_k α_k dα_k).
-        let weighted = tensor::dot(&cache.alphas, &dalpha);
-        let mut d_uw = vec![0.0f32; self.d_attn];
-        let mut du = vec![0.0f32; self.d_attn];
+        let weighted = tensor::dot(alphas, dalpha);
+        d_uw.clear();
+        d_uw.resize(self.d_attn, 0.0);
+        du.clear();
+        du.resize(self.d_attn, 0.0);
         for (j, &da_j) in dalpha.iter().enumerate() {
-            let ds_j = cache.alphas[j] * (da_j - weighted);
-            let u_j = cache.us.row(j);
-            tensor::axpy(ds_j, u_j, &mut d_uw);
+            let ds_j = alphas[j] * (da_j - weighted);
+            let u_j = us.row(j);
+            tensor::axpy(ds_j, u_j, d_uw);
             let uw = store.p(self.context);
             for k in 0..self.d_attn {
                 // Through tanh: du ∘ (1 − u²).
-                du[k] = (cache.alphas[j] * dt[k] + ds_j * uw[k]) * (1.0 - u_j[k] * u_j[k]);
+                du[k] = (alphas[j] * dt[k] + ds_j * uw[k]) * (1.0 - u_j[k] * u_j[k]);
             }
-            self.proj
-                .backward_acc(store, hs.row(j), &du, dhs.row_mut(j));
+            self.proj.backward_acc(store, hs.row(j), du, dhs.row_mut(j));
         }
-        tensor::add(&d_uw, store.grad_mut(self.context));
+        tensor::add(d_uw, store.grad_mut(self.context));
     }
 
     /// Pool a sequence of hidden states into one `d_attn` vector. Empty
@@ -161,11 +176,13 @@ impl Attention {
     pub fn backward(
         &self,
         store: &mut ParamStore,
-        cache: &AttentionCache,
+        cache: &mut AttentionCache,
         dt: &[f32],
     ) -> Vec<Vec<f32>> {
-        let mut dhs = Mat::zeros(cache.hs.rows(), self.proj.d_in);
-        self.backward_flat(store, &cache.hs, cache, dt, &mut dhs);
+        let hs = std::mem::take(&mut cache.hs);
+        let mut dhs = Mat::zeros(hs.rows(), self.proj.d_in);
+        self.backward_flat(store, &hs, cache, dt, &mut dhs);
+        cache.hs = hs;
         dhs.to_rows()
     }
 }
@@ -201,9 +218,11 @@ mod tests {
     fn empty_sequence_pools_to_zero() {
         let mut s = ParamStore::new(2);
         let att = Attention::new(&mut s, 4, 3);
-        let (t, cache) = att.forward(&s, &[]);
+        let (t, mut cache) = att.forward(&s, &[]);
         assert_eq!(t, vec![0.0; 3]);
-        assert!(att.backward(&mut s, &cache, &[1.0, 1.0, 1.0]).is_empty());
+        assert!(att
+            .backward(&mut s, &mut cache, &[1.0, 1.0, 1.0])
+            .is_empty());
     }
 
     #[test]
@@ -211,7 +230,7 @@ mod tests {
         let mut s = ParamStore::new(5);
         let att = Attention::new(&mut s, 4, 3);
         let input = hs(9, 6, 4);
-        let (t, cache) = att.forward(&s, &input);
+        let (t, mut cache) = att.forward(&s, &input);
         let (t_ref, cache_ref) = crate::reference::attention_forward(&att, &s, &input);
         for (a, b) in t.iter().zip(&t_ref) {
             assert!((a - b).abs() < 1e-5, "pooled: {a} vs {b}");
@@ -219,7 +238,7 @@ mod tests {
         let mut s2 = s.clone();
         s.zero_grad();
         s2.zero_grad();
-        let dhs = att.backward(&mut s, &cache, &t);
+        let dhs = att.backward(&mut s, &mut cache, &t);
         let dhs_ref = crate::reference::attention_backward(&att, &mut s2, &cache_ref, &t_ref);
         for (a, b) in s.g.iter().zip(&s2.g) {
             assert!((a - b).abs() < 1e-4, "grad: {a} vs {b}");
@@ -239,8 +258,8 @@ mod tests {
             t.iter().map(|v| v * v).sum::<f32>() / 2.0
         };
         s.zero_grad();
-        let (t, cache) = att.forward(&s, &input);
-        let dhs = att.backward(&mut s, &cache, &t);
+        let (t, mut cache) = att.forward(&s, &input);
+        let dhs = att.backward(&mut s, &mut cache, &t);
         num_grad(&mut s, att.proj.w, loss, 0.05);
         num_grad(&mut s, att.proj.b, loss, 0.05);
         num_grad(&mut s, att.context, loss, 0.05);

@@ -14,9 +14,10 @@
 //!
 //! Two execution shapes share the parameters:
 //!
-//! * **Flat sequential** ([`LstmCell::forward_flat`]): one sequence, all
-//!   activations in reused `T × d` [`Mat`] caches — zero allocations in
-//!   steady state, gate math through the fused `fonduer-tensor` kernels.
+//! * **Flat sequential** ([`LstmCell::forward_flat`] and
+//!   [`LstmCell::backward_flat`]): one sequence, all activations and BPTT
+//!   scratch in a reused [`LstmCache`] — zero allocations in steady state,
+//!   gate math through the fused `fonduer-tensor` kernels.
 //!   The reversed direction of a [`BiLstm`] runs over the *same* input
 //!   matrix with an index mapping; the old per-call
 //!   `xs.iter().rev().cloned()` copy is gone.
@@ -46,8 +47,9 @@ pub struct LstmCell {
 }
 
 /// Flat sequence cache for BPTT. Rows are in *processed* order (step `t` of
-/// a reversed pass reads input row `T−1−t`); all matrices keep their arenas
-/// across calls, so reusing a cache is allocation-free in steady state.
+/// a reversed pass reads input row `T−1−t`); all matrices and vectors keep
+/// their capacity across calls, so reusing a cache for forward and backward
+/// passes is allocation-free in steady state.
 #[derive(Debug, Clone, Default)]
 pub struct LstmCache {
     /// Inputs in processed order (`T × d_in`).
@@ -64,6 +66,14 @@ pub struct LstmCache {
     zero: Vec<f32>,
     /// Whether the pass consumed the input back-to-front.
     reversed: bool,
+    /// Backward scratch: gate pre-activation grads (`4h`).
+    dz: Vec<f32>,
+    /// Backward scratch: grad of the current hidden state (`h`).
+    dh: Vec<f32>,
+    /// Backward scratch: recurrent grad flowing into `h_{t-1}` (`h`).
+    dh_next: Vec<f32>,
+    /// Backward scratch: cell-state grad carried across steps (`h`).
+    dc: Vec<f32>,
 }
 
 impl LstmCache {
@@ -91,7 +101,7 @@ impl LstmCell {
     }
 
     /// Run the cell over a `T × d_in` input matrix, filling `cache` (which
-    /// is reused — no allocations once its arenas have grown). With
+    /// is reused — no allocations once its buffers have grown). With
     /// `reversed`, the input is consumed back-to-front without copying it.
     pub fn forward_flat(
         &self,
@@ -146,11 +156,12 @@ impl LstmCell {
     /// order; the cell reads columns `[dh_off, dh_off + d_h)` of each row,
     /// so a [`BiLstm`] hands both directions the same `T × 2h` gradient
     /// matrix. Input gradients accumulate (`+=`) into `dxs` rows in
-    /// original order.
+    /// original order. The cache's backward scratch is reused, so the pass
+    /// allocates nothing once the cache has run at this width.
     pub fn backward_flat(
         &self,
         store: &mut ParamStore,
-        cache: &LstmCache,
+        cache: &mut LstmCache,
         dhs: &Mat,
         dh_off: usize,
         dxs: &mut Mat,
@@ -159,49 +170,51 @@ impl LstmCell {
         let t_max = cache.hs.rows();
         debug_assert_eq!(dhs.rows(), t_max);
         debug_assert_eq!(dxs.rows(), t_max);
-        let mut dz = vec![0.0f32; 4 * h];
-        let mut dh = vec![0.0f32; h];
-        let mut dh_next = vec![0.0f32; h];
+        let LstmCache {
+            x,
+            gates,
+            c,
+            tanh_c,
+            hs,
+            zero,
+            reversed,
+            dz,
+            dh,
+            dh_next,
+            dc,
+        } = cache;
+        dz.clear();
+        dz.resize(4 * h, 0.0);
+        dh.clear();
+        dh.resize(h, 0.0);
+        dh_next.clear();
+        dh_next.resize(h, 0.0);
         // `dc` carries the cell-state gradient across timesteps in place —
         // the fused kernel consumes the carry and writes the next one.
-        let mut dc = vec![0.0f32; h];
+        dc.clear();
+        dc.resize(h, 0.0);
         for t in (0..t_max).rev() {
-            let orig = if cache.reversed { t_max - 1 - t } else { t };
-            let c_prev = if t == 0 {
-                &cache.zero[..]
-            } else {
-                cache.c.row(t - 1)
-            };
+            let orig = if *reversed { t_max - 1 - t } else { t };
+            let c_prev = if t == 0 { &zero[..] } else { c.row(t - 1) };
             dh.copy_from_slice(&dhs.row(orig)[dh_off..dh_off + h]);
-            tensor::add(&dh_next, &mut dh);
+            tensor::add(dh_next, dh);
             // h = o ∘ tanh(c); c = f ∘ c_prev + i ∘ g.
-            tensor::lstm_backward_gates(
-                cache.gates.row(t),
-                cache.tanh_c.row(t),
-                c_prev,
-                &dh,
-                &mut dc,
-                &mut dz,
-            );
+            tensor::lstm_backward_gates(gates.row(t), tanh_c.row(t), c_prev, dh, dc, dz);
             // z = W x + U h_prev + b — split-borrow the store so the weight
             // values and their gradients alias-free without copying.
             {
                 let (w_vals, dw) = store.p_grad_mut(self.w);
-                tensor::outer_acc(&dz, cache.x.row(t), dw);
-                tensor::gemv_t_acc(w_vals, 4 * h, self.d_in, &dz, dxs.row_mut(orig));
+                tensor::outer_acc(dz, x.row(t), dw);
+                tensor::gemv_t_acc(w_vals, 4 * h, self.d_in, dz, dxs.row_mut(orig));
             }
             dh_next.fill(0.0);
             {
-                let h_prev = if t == 0 {
-                    &cache.zero[..]
-                } else {
-                    cache.hs.row(t - 1)
-                };
+                let h_prev = if t == 0 { &zero[..] } else { hs.row(t - 1) };
                 let (u_vals, du) = store.p_grad_mut(self.u);
-                tensor::outer_acc(&dz, h_prev, du);
-                tensor::gemv_t_acc(u_vals, 4 * h, h, &dz, &mut dh_next);
+                tensor::outer_acc(dz, h_prev, du);
+                tensor::gemv_t_acc(u_vals, 4 * h, h, dz, dh_next);
             }
-            tensor::add(&dz, store.grad_mut(self.b));
+            tensor::add(dz, store.grad_mut(self.b));
         }
     }
 
@@ -354,13 +367,13 @@ impl BiLstm {
     pub fn backward_flat(
         &self,
         store: &mut ParamStore,
-        cache: &BiLstmCache,
+        cache: &mut BiLstmCache,
         dhs: &Mat,
         dxs: &mut Mat,
     ) {
-        self.fwd.backward_flat(store, &cache.fwd, dhs, 0, dxs);
+        self.fwd.backward_flat(store, &mut cache.fwd, dhs, 0, dxs);
         self.bwd
-            .backward_flat(store, &cache.bwd, dhs, self.fwd.d_h, dxs);
+            .backward_flat(store, &mut cache.bwd, dhs, self.fwd.d_h, dxs);
     }
 
     /// Batched bidirectional forward over `B` same-length sequences packed
@@ -405,7 +418,7 @@ impl LstmCell {
     pub fn backward_seq(
         &self,
         store: &mut ParamStore,
-        cache: &LstmCache,
+        cache: &mut LstmCache,
         dhs: &[Vec<f32>],
     ) -> Vec<Vec<f32>> {
         let dm = Mat::from_rows(dhs);
@@ -430,7 +443,7 @@ impl BiLstm {
     pub fn backward_seq(
         &self,
         store: &mut ParamStore,
-        cache: &BiLstmCache,
+        cache: &mut BiLstmCache,
         dhs: &[Vec<f32>],
     ) -> Vec<Vec<f32>> {
         let dm = Mat::from_rows(dhs);
@@ -485,7 +498,7 @@ mod tests {
         let mut s = ParamStore::new(11);
         let cell = LstmCell::new(&mut s, 3, 4);
         let xs = seq(6, 7, 3);
-        let (hs, cache) = cell.forward_seq(&s, &xs);
+        let (hs, mut cache) = cell.forward_seq(&s, &xs);
         let (hs_ref, cache_ref) = crate::reference::lstm_forward_seq(&cell, &s, &xs);
         for (a, b) in hs.iter().flatten().zip(hs_ref.iter().flatten()) {
             assert!((a - b).abs() < 1e-5, "forward: {a} vs {b}");
@@ -494,7 +507,7 @@ mod tests {
         let mut s2 = s.clone();
         s.zero_grad();
         s2.zero_grad();
-        cell.backward_seq(&mut s, &cache, &hs);
+        cell.backward_seq(&mut s, &mut cache, &hs);
         crate::reference::lstm_backward_seq(&cell, &mut s2, &cache_ref, &hs_ref);
         for (a, b) in s.g.iter().zip(&s2.g) {
             assert!((a - b).abs() < 1e-4, "grad: {a} vs {b}");
@@ -507,9 +520,9 @@ mod tests {
         let cell = LstmCell::new(&mut s, 2, 3);
         let xs = seq(2, 4, 2);
         s.zero_grad();
-        let (hs, cache) = cell.forward_seq(&s, &xs);
+        let (hs, mut cache) = cell.forward_seq(&s, &xs);
         let dhs: Vec<Vec<f32>> = hs.clone();
-        cell.backward_seq(&mut s, &cache, &dhs);
+        cell.backward_seq(&mut s, &mut cache, &dhs);
         let loss = |st: &ParamStore| seq_loss_lstm(&cell, st, &xs);
         num_grad(&mut s, cell.w, loss, 0.05);
         num_grad(&mut s, cell.u, loss, 0.05);
@@ -522,8 +535,8 @@ mod tests {
         let cell = LstmCell::new(&mut s, 2, 3);
         let xs = seq(3, 3, 2);
         s.zero_grad();
-        let (hs, cache) = cell.forward_seq(&s, &xs);
-        let dxs = cell.backward_seq(&mut s, &cache, &hs);
+        let (hs, mut cache) = cell.forward_seq(&s, &xs);
+        let dxs = cell.backward_seq(&mut s, &mut cache, &hs);
         const EPS: f32 = 1e-2;
         for t in 0..xs.len() {
             for k in 0..2 {
@@ -565,7 +578,7 @@ mod tests {
         let mut s = ParamStore::new(12);
         let bi = BiLstm::new(&mut s, 3, 4);
         let xs = seq(9, 6, 3);
-        let (hs, cache) = bi.forward_seq(&s, &xs);
+        let (hs, mut cache) = bi.forward_seq(&s, &xs);
         let (hs_ref, cache_ref) = crate::reference::bilstm_forward_seq(&bi, &s, &xs);
         for (a, b) in hs.iter().flatten().zip(hs_ref.iter().flatten()) {
             assert!((a - b).abs() < 1e-5, "forward: {a} vs {b}");
@@ -573,7 +586,7 @@ mod tests {
         let mut s2 = s.clone();
         s.zero_grad();
         s2.zero_grad();
-        let dx = bi.backward_seq(&mut s, &cache, &hs);
+        let dx = bi.backward_seq(&mut s, &mut cache, &hs);
         let dx_ref = crate::reference::bilstm_backward_seq(&bi, &mut s2, &cache_ref, &hs_ref);
         for (a, b) in s.g.iter().zip(&s2.g) {
             assert!((a - b).abs() < 1e-4, "grad: {a} vs {b}");
@@ -593,8 +606,8 @@ mod tests {
             hs.iter().flatten().map(|v| v * v).sum::<f32>() / 2.0
         };
         s.zero_grad();
-        let (hs, cache) = bi.forward_seq(&s, &xs);
-        bi.backward_seq(&mut s, &cache, &hs);
+        let (hs, mut cache) = bi.forward_seq(&s, &xs);
+        bi.backward_seq(&mut s, &mut cache, &hs);
         num_grad(&mut s, bi.fwd.w, loss, 0.05);
         num_grad(&mut s, bi.bwd.w, loss, 0.05);
         num_grad(&mut s, bi.fwd.u, loss, 0.05);
@@ -697,9 +710,9 @@ mod tests {
     fn empty_sequence() {
         let mut s = ParamStore::new(10);
         let cell = LstmCell::new(&mut s, 2, 3);
-        let (hs, cache) = cell.forward_seq(&s, &[]);
+        let (hs, mut cache) = cell.forward_seq(&s, &[]);
         assert!(hs.is_empty());
-        let dxs = cell.backward_seq(&mut s, &cache, &[]);
+        let dxs = cell.backward_seq(&mut s, &mut cache, &[]);
         assert!(dxs.is_empty());
     }
 }

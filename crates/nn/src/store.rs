@@ -152,7 +152,7 @@ impl ParamStore {
             0.0
         };
         let coef = self.adam_begin(clip, grad_sq);
-        self.adam_sweep(0..self.w.len(), lr, coef);
+        self.adam_sweep(0..self.w.len(), lr, coef, false);
     }
 
     /// [`Self::adam_step`] over only the entries a step can change: every
@@ -167,6 +167,11 @@ impl ParamStore {
     /// callers list every row any step has reached, not just this step's.
     /// The update is elementwise, so sweeping the blocks separately gives
     /// the same bits as one sweep.
+    ///
+    /// Unlike [`Self::adam_step`], the sweep flushes subnormals to zero
+    /// ([`fonduer_tensor::adam_step_consume_ftz`]): a result that would
+    /// fall below `f32::MIN_POSITIVE` is stored as ±0. The two steps agree
+    /// bit for bit until such a result occurs.
     pub fn adam_step_rows(
         &mut self,
         lr: f32,
@@ -177,12 +182,12 @@ impl ParamStore {
     ) {
         debug_assert!(rows.windows(2).all(|p| p[0] < p[1]));
         let coef = self.adam_begin(clip, grad_sq);
-        self.adam_sweep(0..table.offset, lr, coef);
+        self.adam_sweep(0..table.offset, lr, coef, true);
         for &r in rows {
             let o = table.offset + r as usize * table.cols;
-            self.adam_sweep(o..o + table.cols, lr, coef);
+            self.adam_sweep(o..o + table.cols, lr, coef, true);
         }
-        self.adam_sweep(table.offset + table.len()..self.w.len(), lr, coef);
+        self.adam_sweep(table.offset + table.len()..self.w.len(), lr, coef, true);
     }
 
     /// Count the step and return its `(clip scale, bc1, bc2)`.
@@ -201,14 +206,21 @@ impl ParamStore {
         (scale, bc1, bc2)
     }
 
-    /// The fused, gradient-consuming Adam update over `range`.
+    /// The fused, gradient-consuming Adam update over `range`, with
+    /// flush-to-zero when `ftz`.
     fn adam_sweep(
         &mut self,
         range: std::ops::Range<usize>,
         lr: f32,
         (scale, bc1, bc2): (f32, f32, f32),
+        ftz: bool,
     ) {
-        fonduer_tensor::adam_step_consume(
+        let sweep = if ftz {
+            fonduer_tensor::adam_step_consume_ftz
+        } else {
+            fonduer_tensor::adam_step_consume
+        };
+        sweep(
             &mut self.w[range.clone()],
             &mut self.g[range.clone()],
             &mut self.m[range.clone()],

@@ -16,7 +16,9 @@
 //! AVX2 it jumps to a `#[target_feature(enable = "avx2")]` shim around the
 //! *same* safe body (see [`crate::simd`]), doubling the vector width with
 //! bit-identical results; everywhere else the body runs as compiled for
-//! the baseline target.
+//! the baseline target. The two flush-to-zero kernels ([`sq_sum_ftz`],
+//! [`adam_step_consume_ftz`]) are the exception: their AVX2 path is an
+//! `asm!` loop that runs with MXCSR's flush-to-zero bit set.
 
 use crate::stats;
 
@@ -111,6 +113,185 @@ mod avx2 {
             scale: f32,
         );
     }
+
+    // The two `_ftz` kernels below run their vector loop in hand-written
+    // AVX2 with MXCSR's flush-to-zero bit (15) set, so a result that
+    // would be subnormal is stored as ±0 without the microcode assist x86
+    // spends on computing one. Rust assumes the default float environment
+    // everywhere outside an `asm!` block, so each block saves MXCSR, sets
+    // FTZ, runs the whole loop and loads the saved word back before it
+    // ends; no compiled code ever runs in the changed mode. Each loop
+    // performs the same IEEE operations, in the same order, as the safe
+    // body it replaces, so the bits differ from that body's only where
+    // the body would produce a subnormal. The `< LANES` tail runs after
+    // the block, as in the safe body.
+
+    /// [`super::sq_sum`] over the full 8-lane chunks with flush-to-zero
+    /// set, then the tail and the lane reduction of `dot_body`.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 (guarded by `simd::avx2_enabled`).
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn sq_sum_ftz_body(x: &[f32]) -> f32 {
+        let body = x.len() / super::LANES * super::LANES;
+        let mut acc = [0.0f32; super::LANES];
+        let mut csr = [0u32; 2];
+        if body > 0 {
+            // SAFETY: the caller guarantees AVX2 (so AVX). The block reads
+            // `x[..body]` (`body` is a multiple of 8, at most `x.len()`)
+            // and writes the 32 bytes of `acc` and 8 bytes of `csr`, all
+            // live locals or borrowed slices; it uses no stack, clobbers
+            // only declared registers, and loads the saved MXCSR back
+            // before it ends.
+            core::arch::asm!(
+                "stmxcsr dword ptr [{csr}]",
+                "mov edx, dword ptr [{csr}]",
+                "or edx, 0x8000",
+                "mov dword ptr [{csr} + 4], edx",
+                "ldmxcsr dword ptr [{csr} + 4]",
+                "vxorps ymm0, ymm0, ymm0",
+                "2:",
+                "vmovups ymm1, ymmword ptr [{x} + 4*rax]",
+                "vmulps ymm1, ymm1, ymm1",
+                "vaddps ymm0, ymm0, ymm1",
+                "add rax, 8",
+                "cmp rax, {n}",
+                "jb 2b",
+                "vmovups ymmword ptr [{acc}], ymm0",
+                "ldmxcsr dword ptr [{csr}]",
+                "vzeroupper",
+                csr = in(reg) csr.as_mut_ptr(),
+                acc = in(reg) acc.as_mut_ptr(),
+                x = in(reg) x.as_ptr(),
+                n = in(reg) body,
+                inout("rax") 0usize => _,
+                out("rdx") _,
+                clobber_abi("C"),
+                options(nostack),
+            );
+        }
+        let mut tail = 0.0f32;
+        for xi in &x[body..] {
+            tail += xi * xi;
+        }
+        ((acc[0] + acc[4]) + (acc[1] + acc[5])) + ((acc[2] + acc[6]) + (acc[3] + acc[7])) + tail
+    }
+
+    /// [`super::adam_step_consume`] over the full 8-lane chunks with
+    /// flush-to-zero set, then the tail through the safe body.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 (guarded by `simd::avx2_enabled`).
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn adam_step_consume_ftz_body(
+        w: &mut [f32],
+        g: &mut [f32],
+        m: &mut [f32],
+        v: &mut [f32],
+        lr: f32,
+        b1: f32,
+        b2: f32,
+        eps: f32,
+        bc1: f32,
+        bc2: f32,
+        scale: f32,
+    ) {
+        let n = w.len();
+        // The loop indexes all four slices up to `body`.
+        assert!(g.len() == n && m.len() == n && v.len() == n);
+        let body = n / super::LANES * super::LANES;
+        let k: [f32; 9] = [
+            scale,
+            b1,
+            1.0 - b1,
+            b2,
+            1.0 - b2,
+            1.0 / bc1,
+            1.0 / bc2,
+            lr,
+            eps,
+        ];
+        let mut csr = [0u32; 2];
+        if body > 0 {
+            // SAFETY: the caller guarantees AVX2 (so AVX). The block reads
+            // and writes `w`, `g`, `m` and `v` over `[..body]` (`body` is a
+            // multiple of 8, at most their common length, asserted above),
+            // reads the 36 bytes of `k` and writes 8 bytes of `csr`; it
+            // uses no stack, clobbers only declared registers, and loads
+            // the saved MXCSR back before it ends. Per lane, as in the body:
+            // gi = g·scale; g = 0; m = β1·m + (1−β1)·gi;
+            // v = β2·v + ((1−β2)·gi)·gi;
+            // w −= (lr·(m·(1/bc1))) / (sqrt(v·(1/bc2)) + ε).
+            core::arch::asm!(
+                "stmxcsr dword ptr [{csr}]",
+                "mov edx, dword ptr [{csr}]",
+                "or edx, 0x8000",
+                "mov dword ptr [{csr} + 4], edx",
+                "ldmxcsr dword ptr [{csr} + 4]",
+                "vbroadcastss ymm7, dword ptr [{k}]",
+                "vbroadcastss ymm8, dword ptr [{k} + 4]",
+                "vbroadcastss ymm9, dword ptr [{k} + 8]",
+                "vbroadcastss ymm10, dword ptr [{k} + 12]",
+                "vbroadcastss ymm11, dword ptr [{k} + 16]",
+                "vbroadcastss ymm12, dword ptr [{k} + 20]",
+                "vbroadcastss ymm13, dword ptr [{k} + 24]",
+                "vbroadcastss ymm14, dword ptr [{k} + 28]",
+                "vbroadcastss ymm15, dword ptr [{k} + 32]",
+                "vxorps ymm6, ymm6, ymm6",
+                "2:",
+                "vmulps ymm0, ymm7, ymmword ptr [{g} + 4*rax]",
+                "vmovups ymmword ptr [{g} + 4*rax], ymm6",
+                "vmulps ymm1, ymm8, ymmword ptr [{m} + 4*rax]",
+                "vmulps ymm2, ymm9, ymm0",
+                "vaddps ymm1, ymm1, ymm2",
+                "vmulps ymm3, ymm10, ymmword ptr [{v} + 4*rax]",
+                "vmulps ymm4, ymm11, ymm0",
+                "vmulps ymm4, ymm4, ymm0",
+                "vaddps ymm3, ymm3, ymm4",
+                "vmovups ymmword ptr [{m} + 4*rax], ymm1",
+                "vmovups ymmword ptr [{v} + 4*rax], ymm3",
+                "vmulps ymm1, ymm1, ymm12",
+                "vmulps ymm1, ymm1, ymm14",
+                "vmulps ymm3, ymm3, ymm13",
+                "vsqrtps ymm3, ymm3",
+                "vaddps ymm3, ymm3, ymm15",
+                "vdivps ymm1, ymm1, ymm3",
+                "vmovups ymm2, ymmword ptr [{w} + 4*rax]",
+                "vsubps ymm2, ymm2, ymm1",
+                "vmovups ymmword ptr [{w} + 4*rax], ymm2",
+                "add rax, 8",
+                "cmp rax, {n}",
+                "jb 2b",
+                "ldmxcsr dword ptr [{csr}]",
+                "vzeroupper",
+                csr = in(reg) csr.as_mut_ptr(),
+                k = in(reg) k.as_ptr(),
+                w = in(reg) w.as_mut_ptr(),
+                g = in(reg) g.as_mut_ptr(),
+                m = in(reg) m.as_mut_ptr(),
+                v = in(reg) v.as_mut_ptr(),
+                n = in(reg) body,
+                inout("rax") 0usize => _,
+                out("rdx") _,
+                clobber_abi("C"),
+                options(nostack),
+            );
+        }
+        super::adam_step_consume_body(
+            &mut w[body..],
+            &mut g[body..],
+            &mut m[body..],
+            &mut v[body..],
+            lr,
+            b1,
+            b2,
+            eps,
+            bc1,
+            bc2,
+            scale,
+        );
+    }
 }
 
 #[inline(always)]
@@ -170,6 +351,22 @@ pub fn add(x: &[f32], y: &mut [f32]) {
 #[inline]
 pub fn sq_sum(x: &[f32]) -> f32 {
     dot(x, x)
+}
+
+#[inline(always)]
+fn sq_sum_ftz_body(x: &[f32]) -> f32 {
+    dot_body(x, x)
+}
+
+/// [`sq_sum`] with flush-to-zero: on AVX2 hosts the vector loop runs with
+/// MXCSR's flush-to-zero bit set inside one `asm!` block, so the square of
+/// an entry below 2^-63 in magnitude, which would be subnormal, adds `0.0`
+/// instead of a value x86 computes in a slow microcode assist. Same
+/// operations in the same order as [`sq_sum`]: the bits agree whenever no
+/// square is subnormal. On other hosts it is [`sq_sum`].
+#[inline]
+pub fn sq_sum_ftz(x: &[f32]) -> f32 {
+    dispatch!(sq_sum_ftz_body(x))
 }
 
 #[inline(always)]
@@ -659,6 +856,51 @@ pub fn adam_step_consume(
     ))
 }
 
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn adam_step_consume_ftz_body(
+    w: &mut [f32],
+    g: &mut [f32],
+    m: &mut [f32],
+    v: &mut [f32],
+    lr: f32,
+    b1: f32,
+    b2: f32,
+    eps: f32,
+    bc1: f32,
+    bc2: f32,
+    scale: f32,
+) {
+    adam_step_consume_body(w, g, m, v, lr, b1, b2, eps, bc1, bc2, scale)
+}
+
+/// [`adam_step_consume`] with flush-to-zero: on AVX2 hosts the vector loop
+/// runs with MXCSR's flush-to-zero bit set inside one `asm!` block, so a
+/// result that would be subnormal (a tiny gradient's square in `v`, a
+/// moment decaying below `f32::MIN_POSITIVE`) is stored as ±0 instead of
+/// a value x86 computes in a slow microcode assist. Same operations in
+/// the same order as [`adam_step_consume`]: the bits agree whenever no
+/// intermediate is subnormal. On other hosts, and for the `< 8`-element
+/// tail, it is [`adam_step_consume`].
+#[allow(clippy::too_many_arguments)]
+pub fn adam_step_consume_ftz(
+    w: &mut [f32],
+    g: &mut [f32],
+    m: &mut [f32],
+    v: &mut [f32],
+    lr: f32,
+    b1: f32,
+    b2: f32,
+    eps: f32,
+    bc1: f32,
+    bc2: f32,
+    scale: f32,
+) {
+    dispatch!(adam_step_consume_ftz_body(
+        w, g, m, v, lr, b1, b2, eps, bc1, bc2, scale
+    ))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -754,5 +996,93 @@ mod tests {
         assert_eq!(m, m2);
         assert_eq!(v, v2);
         assert!(g2.iter().all(|&x| x == 0.0), "gradients must be consumed");
+    }
+
+    /// `a·b` computed at run time: subnormal for `MIN_POSITIVE · 0.5`
+    /// unless the thread's float mode flushes it.
+    fn product(a: f32, b: f32) -> f32 {
+        std::hint::black_box(a) * std::hint::black_box(b)
+    }
+
+    #[test]
+    fn sq_sum_ftz_flushes_subnormal_squares_and_restores_the_mode() {
+        let avx2 = crate::simd_level() == "avx2";
+        // 2^-66: its square, 2^-132, is subnormal, and so is the sum of
+        // 16. They fill two whole 8-lane chunks.
+        let tiny = vec![2f32.powi(-66); 16];
+        let plain = sq_sum(&tiny);
+        assert!(plain.is_subnormal(), "{plain:e}");
+        let flushed = sq_sum_ftz(&tiny);
+        if avx2 {
+            assert_eq!(flushed.to_bits(), 0, "{flushed:e}");
+        } else {
+            assert_eq!(flushed.to_bits(), plain.to_bits());
+        }
+        // The mode reverted with the `asm!` block.
+        assert!(product(f32::MIN_POSITIVE, 0.5).is_subnormal());
+        // Without subnormal squares the bits are `sq_sum`'s, tails included.
+        for n in 0..40 {
+            let xs: Vec<f32> = (0..n).map(|i| (i as f32 * 0.77).sin() * 3.0).collect();
+            assert_eq!(sq_sum_ftz(&xs).to_bits(), sq_sum(&xs).to_bits(), "n={n}");
+        }
+    }
+
+    #[test]
+    fn adam_consume_ftz_matches_adam_consume_except_subnormals() {
+        let avx2 = crate::simd_level() == "avx2";
+        let n = 133; // 16 whole chunks and a 5-element tail
+        let w0: Vec<f32> = (0..n).map(|i| (i as f32).sin() + 2.0).collect();
+        let run = |ftz: bool, g: &[f32], m: &[f32], v: &[f32]| {
+            let (mut w, mut g, mut m, mut v) = (w0.clone(), g.to_vec(), m.to_vec(), v.to_vec());
+            let step = if ftz {
+                adam_step_consume_ftz
+            } else {
+                adam_step_consume
+            };
+            step(
+                &mut w, &mut g, &mut m, &mut v, 0.02, 0.9, 0.999, 1e-8, 0.271, 0.002997, 0.7,
+            );
+            assert!(g.iter().all(|&x| x == 0.0), "gradients must be consumed");
+            (w, m, v)
+        };
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+        // Normal-range state: the two kernels agree bit for bit.
+        let g: Vec<f32> = (0..n).map(|i| (i as f32 * 0.3).cos()).collect();
+        let (m, v) = (vec![0.01f32; n], vec![0.02f32; n]);
+        let (a, b) = (run(false, &g, &m, &v), run(true, &g, &m, &v));
+        assert_eq!(bits(&a.0), bits(&b.0));
+        assert_eq!(bits(&a.1), bits(&b.1));
+        assert_eq!(bits(&a.2), bits(&b.2));
+
+        // Gradients zero or between 2^-66 and 2^-125, moments at the
+        // smallest normal float: `β1·m`, `β2·v` and `(1−β2)·g²` go
+        // subnormal. The plain kernel stores subnormal moments; with the
+        // flush the chunked part stores none, and the parameters move
+        // identically.
+        let g: Vec<f32> = (0..n as i32)
+            .map(|i| {
+                if i % 3 == 0 {
+                    0.0
+                } else {
+                    2f32.powi(-66 - i % 60)
+                }
+            })
+            .collect();
+        let m = vec![f32::MIN_POSITIVE; n];
+        let v = vec![f32::MIN_POSITIVE; n];
+        let (plain, flushed) = (run(false, &g, &m, &v), run(true, &g, &m, &v));
+        assert!(plain.2.iter().all(|x| x.is_subnormal()));
+        assert!(plain.1.iter().any(|x| x.is_subnormal()));
+        let body = n / LANES * LANES;
+        let subnormal_in_body = flushed.1[..body]
+            .iter()
+            .chain(&flushed.2[..body])
+            .any(|x| x.is_subnormal());
+        assert_eq!(subnormal_in_body, !avx2);
+        assert_eq!(bits(&flushed.1[body..]), bits(&plain.1[body..]));
+        assert_eq!(bits(&flushed.2[body..]), bits(&plain.2[body..]));
+        assert_eq!(bits(&plain.0), bits(&flushed.0));
+        assert!(product(f32::MIN_POSITIVE, 0.5).is_subnormal());
     }
 }

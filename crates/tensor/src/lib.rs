@@ -1,8 +1,8 @@
 //! # fonduer-tensor
 //!
 //! A small zero-dependency kernel library for the training hot path
-//! (ROADMAP item 4): contiguous row-major [`Mat`] activations over a
-//! 64-byte-aligned `f32` arena, explicit 8-lane-unrolled dense kernels
+//! (ROADMAP item 4): contiguous row-major [`Mat`] activations over a plain
+//! `Vec<f32>`, explicit 8-lane-unrolled dense kernels
 //! ([`kernels`]: `dot`/`gemv`/`gemm_nt`/`axpy`, fused LSTM gate and Adam
 //! sweeps, branch-free polynomial transcendentals) written so LLVM
 //! autovectorizes them on stable Rust, and sparse-dense gather kernels
@@ -11,13 +11,17 @@
 //!
 //! Design rules:
 //!
-//! * **No dependencies, no `unsafe` in kernel bodies.** The `unsafe` in
-//!   this crate is the aligned arena allocation in [`mat`] and the
-//!   [`simd`] dispatch boundary, where the *same* safe kernel bodies are
-//!   re-emitted behind `#[target_feature(enable = "avx2")]` shims and
-//!   selected by runtime CPUID detection — wider registers, bit-identical
-//!   results (the eight-accumulator reassociation is fixed in the source,
-//!   and rustc never contracts float multiply-adds). Reductions
+//! * **No dependencies; `unsafe` only at the AVX2 boundary.** The crate's
+//!   `unsafe` is all in [`kernels`]' AVX2 path. The dispatch (one call
+//!   site, one shim declaration) re-emits the *same* safe kernel bodies
+//!   behind `#[target_feature(enable = "avx2")]`, selected by runtime
+//!   CPUID detection — wider registers, bit-identical results (the
+//!   eight-accumulator reassociation is fixed in the source, and rustc
+//!   never contracts float multiply-adds). The two flush-to-zero kernels
+//!   ([`sq_sum_ftz`], [`adam_step_consume_ftz`]) are hand-written AVX2
+//!   loops in `asm!`, one `unsafe fn` each: every block sets MXCSR's
+//!   flush-to-zero bit and restores the saved word before it ends, since
+//!   Rust code must never run with the float mode changed. Reductions
 //!   reassociate into eight explicit accumulator lanes; elementwise
 //!   sweeps are branch-free.
 //! * **Scalar ground truth ships with the crate.** [`reference`] holds the
@@ -38,11 +42,12 @@ pub mod simd;
 pub mod sparse;
 
 pub use kernels::{
-    adam_step, adam_step_consume, add, axpy, dot, fast_exp, fast_sigmoid, fast_tanh, gemm_nn_acc,
-    gemm_nt, gemm_nt_acc, gemm_tn_acc, gemv, gemv_acc, gemv_t_acc, lstm_backward_gates, lstm_gates,
-    lstm_state, outer_acc, sigmoid_slice, softmax_inplace, sq_sum, tanh_slice,
+    adam_step, adam_step_consume, adam_step_consume_ftz, add, axpy, dot, fast_exp, fast_sigmoid,
+    fast_tanh, gemm_nn_acc, gemm_nt, gemm_nt_acc, gemm_tn_acc, gemv, gemv_acc, gemv_t_acc,
+    lstm_backward_gates, lstm_gates, lstm_state, outer_acc, sigmoid_slice, softmax_inplace, sq_sum,
+    sq_sum_ftz, tanh_slice,
 };
-pub use mat::{AlignedVec, Mat, ARENA_ALIGN};
+pub use mat::Mat;
 pub use simd::simd_level;
 pub use sparse::{sparse_add, sparse_add_atomic, sparse_dot, sparse_dot_atomic};
 

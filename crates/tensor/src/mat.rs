@@ -1,148 +1,14 @@
-//! Contiguous row-major matrices over a 64-byte-aligned `f32` arena.
+//! Contiguous row-major `f32` matrices.
 //!
 //! [`Mat`] is the activation container for the training hot path: one flat
-//! allocation, row-major, with its backing storage aligned to a cache line
-//! so the unrolled kernels in [`crate::kernels`] always see
-//! vector-register-friendly slices. [`Mat::resize`] never shrinks the
-//! arena, so a workspace of `Mat`s reused across samples is allocation-free
-//! in steady state.
+//! `Vec<f32>`, row-major. [`Mat::resize`] never gives back capacity, so a
+//! workspace of `Mat`s reused across samples is allocation-free once each
+//! has reached its largest shape.
 
-use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
-use std::ptr::NonNull;
-
-/// Cache-line alignment for the backing arena.
-pub const ARENA_ALIGN: usize = 64;
-
-/// A growable, 64-byte-aligned `f32` buffer — the arena behind [`Mat`].
-///
-/// Unlike `Vec<f32>` (whose allocation is only 4-byte aligned), the arena
-/// guarantees [`ARENA_ALIGN`]-byte alignment of element 0, and it never
-/// shrinks: growing reallocates, shrinking just truncates `len`.
-pub struct AlignedVec {
-    ptr: NonNull<f32>,
-    len: usize,
-    cap: usize,
-}
-
-// The arena owns its allocation exactly like Vec<f32> does.
-unsafe impl Send for AlignedVec {}
-unsafe impl Sync for AlignedVec {}
-
-impl AlignedVec {
-    /// An empty arena (no allocation).
-    pub const fn new() -> Self {
-        Self {
-            ptr: NonNull::dangling(),
-            len: 0,
-            cap: 0,
-        }
-    }
-
-    /// An arena of `len` zeros.
-    pub fn zeros(len: usize) -> Self {
-        let mut v = Self::new();
-        v.resize_zeroed(len);
-        v
-    }
-
-    fn layout(cap: usize) -> Layout {
-        Layout::from_size_align(cap * std::mem::size_of::<f32>(), ARENA_ALIGN)
-            .expect("arena layout")
-    }
-
-    /// Resize to `len` elements, zero-filling the whole buffer. Capacity
-    /// only ever grows; a shrink keeps the allocation.
-    pub fn resize_zeroed(&mut self, len: usize) {
-        if len > self.cap {
-            let new_cap = len.next_power_of_two().max(16);
-            let layout = Self::layout(new_cap);
-            // SAFETY: layout has non-zero size (new_cap >= 16).
-            let raw = unsafe { alloc_zeroed(layout) } as *mut f32;
-            let Some(ptr) = NonNull::new(raw) else {
-                handle_alloc_error(layout);
-            };
-            if self.cap > 0 {
-                // SAFETY: self.ptr holds `cap` elements from Self::layout.
-                unsafe {
-                    dealloc(self.ptr.as_ptr() as *mut u8, Self::layout(self.cap));
-                }
-            }
-            self.ptr = ptr;
-            self.cap = new_cap;
-        } else {
-            self.as_mut_slice_full(len).fill(0.0);
-        }
-        self.len = len;
-    }
-
-    fn as_mut_slice_full(&mut self, len: usize) -> &mut [f32] {
-        debug_assert!(len <= self.cap);
-        // SAFETY: `len <= cap` elements are allocated and initialized
-        // (alloc_zeroed on growth, fill on reuse).
-        unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), len) }
-    }
-
-    /// Current length.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the arena is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The elements as a slice.
-    pub fn as_slice(&self) -> &[f32] {
-        // SAFETY: `len` elements are allocated and initialized.
-        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
-    }
-
-    /// The elements as a mutable slice.
-    pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        // SAFETY: `len` elements are allocated and initialized.
-        unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
-    }
-}
-
-impl Drop for AlignedVec {
-    fn drop(&mut self) {
-        if self.cap > 0 {
-            // SAFETY: allocation came from Self::layout(self.cap).
-            unsafe {
-                dealloc(self.ptr.as_ptr() as *mut u8, Self::layout(self.cap));
-            }
-        }
-    }
-}
-
-impl Clone for AlignedVec {
-    fn clone(&self) -> Self {
-        let mut v = Self::zeros(self.len);
-        v.as_mut_slice().copy_from_slice(self.as_slice());
-        v
-    }
-}
-
-impl Default for AlignedVec {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl std::fmt::Debug for AlignedVec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AlignedVec")
-            .field("len", &self.len)
-            .field("cap", &self.cap)
-            .finish()
-    }
-}
-
-/// A contiguous row-major `f32` matrix over an aligned arena.
+/// A contiguous row-major `f32` matrix.
 #[derive(Debug, Clone, Default)]
 pub struct Mat {
-    data: AlignedVec,
+    data: Vec<f32>,
     rows: usize,
     cols: usize,
 }
@@ -151,7 +17,7 @@ impl Mat {
     /// A `rows × cols` matrix of zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
         Self {
-            data: AlignedVec::zeros(rows * cols),
+            data: vec![0.0; rows * cols],
             rows,
             cols,
         }
@@ -160,9 +26,11 @@ impl Mat {
     /// Build from row-major data (length must be `rows × cols`).
     pub fn from_slice(rows: usize, cols: usize, values: &[f32]) -> Self {
         assert_eq!(values.len(), rows * cols, "row-major shape mismatch");
-        let mut m = Self::zeros(rows, cols);
-        m.as_mut_slice().copy_from_slice(values);
-        m
+        Self {
+            data: values.to_vec(),
+            rows,
+            cols,
+        }
     }
 
     /// Build from a ragged `Vec<Vec<f32>>` of equal-length rows.
@@ -177,10 +45,11 @@ impl Mat {
     }
 
     /// Reshape to `rows × cols`, zero-filling all elements. Keeps the
-    /// arena, so repeated resizes in a workspace never allocate once the
+    /// capacity, so repeated resizes in a workspace never allocate once the
     /// high-water mark is reached.
     pub fn resize(&mut self, rows: usize, cols: usize) {
-        self.data.resize_zeroed(rows * cols);
+        self.data.clear();
+        self.data.resize(rows * cols, 0.0);
         self.rows = rows;
         self.cols = cols;
     }
@@ -242,13 +111,13 @@ impl Mat {
     /// All elements, row-major.
     #[inline]
     pub fn as_slice(&self) -> &[f32] {
-        self.data.as_slice()
+        &self.data
     }
 
     /// All elements, row-major, mutable.
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        self.data.as_mut_slice()
+        &mut self.data
     }
 
     /// Set every element to `v`.
@@ -267,28 +136,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn arena_is_cache_line_aligned() {
-        for len in [1usize, 7, 16, 63, 64, 1000] {
-            let v = AlignedVec::zeros(len);
-            assert_eq!(v.as_slice().as_ptr() as usize % ARENA_ALIGN, 0);
-            assert_eq!(v.len(), len);
-            assert!(v.as_slice().iter().all(|&x| x == 0.0));
-        }
-    }
-
-    #[test]
-    fn resize_keeps_alignment_and_zeroes() {
-        let mut v = AlignedVec::zeros(8);
-        v.as_mut_slice().fill(3.0);
-        v.resize_zeroed(4);
-        assert!(v.as_slice().iter().all(|&x| x == 0.0));
-        v.resize_zeroed(500);
-        assert_eq!(v.len(), 500);
-        assert_eq!(v.as_slice().as_ptr() as usize % ARENA_ALIGN, 0);
-        assert!(v.as_slice().iter().all(|&x| x == 0.0));
-    }
-
-    #[test]
     fn mat_rows_and_resize() {
         let mut m = Mat::from_slice(2, 3, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         assert_eq!(m.row(1), &[4.0, 5.0, 6.0]);
@@ -297,6 +144,20 @@ mod tests {
         m.resize(3, 2);
         assert_eq!((m.rows(), m.cols()), (3, 2));
         assert!(m.as_slice().iter().all(|&x| x == 0.0));
+    }
+
+    #[test]
+    fn resize_zeroes_and_keeps_the_allocation() {
+        let mut m = Mat::zeros(8, 4);
+        m.fill(3.0);
+        let ptr = m.as_slice().as_ptr();
+        m.resize(2, 3);
+        assert!(m.as_slice().iter().all(|&x| x == 0.0));
+        m.fill(5.0);
+        m.resize(4, 8);
+        assert_eq!(m.len(), 32);
+        assert!(m.as_slice().iter().all(|&x| x == 0.0));
+        assert_eq!(m.as_slice().as_ptr(), ptr, "a shrink or regrow reallocated");
     }
 
     #[test]

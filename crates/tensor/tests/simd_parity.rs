@@ -52,6 +52,10 @@ struct SweepOut {
     adam_w: Vec<f32>,
     adam_m: Vec<f32>,
     adam_v: Vec<f32>,
+    sq_sum_ftz: f32,
+    adam_ftz_w: Vec<f32>,
+    adam_ftz_m: Vec<f32>,
+    adam_ftz_v: Vec<f32>,
 }
 
 fn run_sweep(seed: u64) -> SweepOut {
@@ -118,6 +122,30 @@ fn run_sweep(seed: u64) -> SweepOut {
         0.7,
     );
 
+    // The flush-to-zero kernels' AVX2 path is hand-written assembly, not
+    // a re-emitted body: on inputs that make no subnormal it must give
+    // the generic body's bits.
+    let sq_sum_ftz = tensor::sq_sum_ftz(&w);
+    let mut adam_ftz_w = vecf(&mut rng, n_p);
+    let mut adam_ftz_g = vecf(&mut rng, n_p);
+    let mut adam_ftz_m = vecf(&mut rng, n_p);
+    let mut adam_ftz_v: Vec<f32> = (0..n_p).map(|_| rng.gen_range(0.0..1.0)).collect();
+    tensor::adam_step_consume_ftz(
+        &mut adam_ftz_w,
+        &mut adam_ftz_g,
+        &mut adam_ftz_m,
+        &mut adam_ftz_v,
+        0.01,
+        0.9,
+        0.999,
+        1e-8,
+        // Step 3's bias corrections: neither inverse is a power of two,
+        // so the loop's multiplication order shows in the bits.
+        0.271,
+        0.002997,
+        0.7,
+    );
+
     SweepOut {
         dot,
         sq_sum,
@@ -137,6 +165,10 @@ fn run_sweep(seed: u64) -> SweepOut {
         adam_w,
         adam_m,
         adam_v,
+        sq_sum_ftz,
+        adam_ftz_w,
+        adam_ftz_m,
+        adam_ftz_v,
     }
 }
 
@@ -181,5 +213,13 @@ fn avx2_and_generic_paths_are_bit_identical() {
         assert_bits_eq(&fast.adam_w, &slow.adam_w, "adam w");
         assert_bits_eq(&fast.adam_m, &slow.adam_m, "adam m");
         assert_bits_eq(&fast.adam_v, &slow.adam_v, "adam v");
+        assert_eq!(
+            fast.sq_sum_ftz.to_bits(),
+            slow.sq_sum_ftz.to_bits(),
+            "sq_sum_ftz"
+        );
+        assert_bits_eq(&fast.adam_ftz_w, &slow.adam_ftz_w, "adam_ftz w");
+        assert_bits_eq(&fast.adam_ftz_m, &slow.adam_ftz_m, "adam_ftz m");
+        assert_bits_eq(&fast.adam_ftz_v, &slow.adam_ftz_v, "adam_ftz v");
     }
 }
