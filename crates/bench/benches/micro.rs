@@ -95,38 +95,14 @@ fn bench_tokenizer(results: &mut Vec<BenchResult>) {
     bench(results, "nlp/tokenize", 100, 1000, || {
         fonduer_nlp::tokenize(black_box(text))
     });
-    // The dispatched scan path (AVX2 where CPUID allows) against the forced
-    // portable SWAR path, on a longer prose block with one reused span
-    // buffer — isolates the byte-class scanners from Vec growth. Both paths
-    // are bit-identical (asserted in fonduer-nlp's parity tests); only the
-    // speed differs.
-    println!("tokenizer scan path: {}", fonduer_nlp::simd_level());
+    // A longer prose block with one reused span buffer — isolates the
+    // byte-class scans from Vec growth.
     let long = text.repeat(32);
     let mut toks = Vec::new();
-    bench(results, "nlp/tokenize_simd", 100, 1000, || {
+    bench(results, "nlp/tokenize_prose", 100, 1000, || {
         fonduer_nlp::tokenize_into(black_box(&long), &mut toks);
         toks.len()
     });
-    fonduer_nlp::simd::force_generic(true);
-    bench(results, "nlp/tokenize_scalar", 100, 1000, || {
-        fonduer_nlp::tokenize_into(black_box(&long), &mut toks);
-        toks.len()
-    });
-    fonduer_nlp::simd::force_generic(false);
-    let simd = results
-        .iter()
-        .find(|r| r.name == "nlp/tokenize_simd")
-        .map(|r| r.ns_per_iter)
-        .unwrap_or(0.0);
-    let scalar = results
-        .iter()
-        .find(|r| r.name == "nlp/tokenize_scalar")
-        .map(|r| r.ns_per_iter)
-        .unwrap_or(1.0);
-    println!(
-        "tokenize dispatched vs SWAR speedup: {:.2}x",
-        scalar / simd.max(1.0)
-    );
 }
 
 fn bench_parse_and_layout(results: &mut Vec<BenchResult>) {
@@ -147,7 +123,7 @@ fn bench_parse_and_layout(results: &mut Vec<BenchResult>) {
 
 /// Corpus-scale ingest: 512 varied datasheet-style markup documents through
 /// the full front end (markup parse → fused sentence/token/tag pass →
-/// layout) per iteration. This is the workload the arena + SIMD rewrite
+/// layout) per iteration. This is the workload the arena rewrite
 /// targets; the per-document numbers in `parser/parse_document` are too
 /// small to show cache effects.
 fn bench_ingest_512(results: &mut Vec<BenchResult>) {
@@ -324,8 +300,8 @@ fn bench_model_step(results: &mut Vec<BenchResult>) {
         "train_epoch flat-kernel speedup vs scalar reference: {:.2}x",
         old / new.max(1.0)
     );
-    // Batched inference over the full candidate set (each distinct window
-    // encoded once, in length-bucketed GEMMs).
+    // Inference over the full candidate set (each distinct window encoded
+    // once through the flat encoder).
     let trained = {
         let mut m = model();
         m.fit(&dataset.inputs, &targets);
@@ -337,10 +313,10 @@ fn bench_model_step(results: &mut Vec<BenchResult>) {
     with_throughput(results, dataset.inputs.len());
 }
 
-/// Kernel-level rows for the `fonduer-tensor` substrate and the batched
+/// Kernel-level rows for the `fonduer-tensor` substrate and the flat
 /// Bi-LSTM, gated by `bench_smoke` under the `tensor/` and `nn/` prefixes.
 fn bench_tensor_kernels(results: &mut Vec<BenchResult>) {
-    use fonduer_nn::{BiBatchScratch, BiLstm, BiLstmCache, ParamStore};
+    use fonduer_nn::{BiLstm, BiLstmCache, ParamStore};
     use fonduer_tensor::Mat;
 
     // The kernel rows depend on which dispatch path CPUID selected; record
@@ -372,23 +348,19 @@ fn bench_tensor_kernels(results: &mut Vec<BenchResult>) {
         acc
     });
 
-    // The Bi-LSTM at model shape (d_emb = d_h = 16), sequential vs batched
-    // over the same 32 length-8 sequences.
+    // The Bi-LSTM at model shape (d_emb = d_h = 16): 32 length-8
+    // sequences through the flat encoder training and inference share.
     let mut store = ParamStore::new(42);
     let bi = BiLstm::new(&mut store, 16, 16);
     let (batch, t_max) = (32usize, 8usize);
-    let mut xs = Mat::zeros(t_max * batch, 16);
-    for r in 0..xs.rows() {
-        let row = xs.row_mut(r);
-        for (k, v) in row.iter_mut().enumerate() {
-            *v = ((r * 31 + k * 7) as f32 * 0.05).sin();
-        }
-    }
     let seqs: Vec<Mat> = (0..batch)
         .map(|b| {
             let mut m = Mat::zeros(t_max, 16);
             for t in 0..t_max {
-                m.row_mut(t).copy_from_slice(xs.row(t * batch + b));
+                let r = t * batch + b;
+                for (k, v) in m.row_mut(t).iter_mut().enumerate() {
+                    *v = ((r * 31 + k * 7) as f32 * 0.05).sin();
+                }
             }
             m
         })
@@ -400,25 +372,6 @@ fn bench_tensor_kernels(results: &mut Vec<BenchResult>) {
             bi.forward_flat(&store, black_box(sq), &mut cache, &mut hs);
         }
     });
-    let mut scratch = BiBatchScratch::default();
-    let mut hs_b = Mat::default();
-    bench(results, "nn/lstm_forward_batch", 10, 200, || {
-        bi.forward_batch(&store, black_box(&xs), batch, &mut scratch, &mut hs_b);
-    });
-    let seq_ns = results
-        .iter()
-        .find(|r| r.name == "nn/lstm_forward_seq")
-        .map(|r| r.ns_per_iter)
-        .unwrap_or(0.0);
-    let batch_ns = results
-        .iter()
-        .find(|r| r.name == "nn/lstm_forward_batch")
-        .map(|r| r.ns_per_iter)
-        .unwrap_or(1.0);
-    println!(
-        "bilstm batched speedup vs sequential ({batch} seqs x len {t_max}): {:.2}x",
-        seq_ns / batch_ns.max(1.0)
-    );
 }
 
 fn bench_generative(results: &mut Vec<BenchResult>) {
@@ -670,9 +623,9 @@ fn bench_incremental(results: &mut Vec<BenchResult>) {
 
 /// Thread-scaling rows for the four `fonduer-par`-routed hot stages:
 /// candidate extraction, featurization, LF application, and one Hogwild
-/// training epoch, each at 1/2/4/8 worker threads. Speedups are honest
-/// measurements on whatever cores the machine exposes — on a single-core
-/// host every row lands near 1×.
+/// training epoch, each at 1/2/4/8 worker threads — but only at widths the
+/// host has cores for (`available_parallelism()`), since a width above the
+/// core count measures time-slicing, not scaling.
 fn bench_scaling(results: &mut Vec<BenchResult>) {
     let ds = Domain::Electronics.generate(16, 7);
     let relation = "has_collector_current";
@@ -690,7 +643,8 @@ fn bench_scaling(results: &mut Vec<BenchResult>) {
     // 30 iterations (vs 10 elsewhere): on hosts where several thread
     // counts resolve to the same pool width, the rows differ only by
     // scheduler noise, and the regression gate compares them directly.
-    for n in [1usize, 2, 4, 8] {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    for n in [1usize, 2, 4, 8].into_iter().filter(|&n| n <= cores) {
         let pool = Pool::new(n);
         bench(
             results,
@@ -807,7 +761,7 @@ fn render_json(results: &[BenchResult]) -> String {
 /// Extract one row's `ns_per_iter` from the frozen pre-arena baseline JSON
 /// (`BENCH_pre_arena.json`, committed at the workspace root and embedded at
 /// compile time). Names are matched on the full quoted string, so
-/// `nlp/tokenize` cannot match `nlp/tokenize_simd`.
+/// `nlp/tokenize` cannot match `nlp/tokenize_prose`.
 fn baseline_ns(json: &str, name: &str) -> f64 {
     let key = format!("\"name\":\"{name}\"");
     let row = &json[json

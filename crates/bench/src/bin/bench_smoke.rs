@@ -7,8 +7,8 @@
 //! costs, so the observability layer cannot quietly get more expensive
 //! than the work it measures), `obsd/*` (the debug server's scrape path),
 //! the training-kernel rows `tensor/*` and `nn/*` (the flat SIMD kernels
-//! and the batched Bi-LSTM — the substance of the train_epoch speedup,
-//! which must not erode), since the arena rewrite also `nlp/*` and
+//! and the flat Bi-LSTM encoder — the substance of the train_epoch
+//! speedup, which must not erode), since the arena rewrite also `nlp/*` and
 //! `parser/*` (the zero-copy ingest front end — the 2x parse+tokenize
 //! win must not erode either), and since the first-token dictionary index
 //! and the symbol-table content hash also `candidates/*` and

@@ -3,9 +3,9 @@
 //! bit-exact formatting. CI runs this twice — `FONDUER_THREADS=1` and
 //! `FONDUER_THREADS=4` — and diffs both outputs against the committed
 //! `crates/bench/train_determinism.golden`: the per-sample Adam learner
-//! and the shared-window batched inference path must be completely
-//! unaffected by the thread configuration, and a change to the training
-//! or inference numerics shows up as a diff. CI also diffs a run with
+//! and the shared-window inference path must be completely unaffected by
+//! the thread configuration, and a change to the training or inference
+//! numerics shows up as a diff. CI also diffs a run with
 //! `FONDUER_NO_AVX2=1`: the generic kernel path must give the same bits.
 //!
 //! The first section trains the bare model on fixed 0.9/0.1 targets. The
@@ -15,6 +15,9 @@
 //! model fits them its gradients get small enough that their squares
 //! (clip norm, Adam's second moment) fall below `f32::MIN_POSITIVE`: the
 //! section covers the numeric regime a change to subnormal handling moves.
+//! The third fits the document-level RNN baseline of Table 6
+//! (`DocRnnModel`) on 40 seeded token streams for 2 epochs and prints each
+//! epoch's mean-loss bits and a hash of every prediction's bits.
 //!
 //! Regenerate the golden only for a change that means to move those bits:
 //!
@@ -28,13 +31,14 @@ use fonduer_core::domains::electronics;
 use fonduer_core::{Learner, PipelineConfig, PipelineSession};
 use fonduer_datamodel::fnv1a64;
 use fonduer_features::Featurizer;
-use fonduer_learning::{prepare, FonduerModel, ModelConfig, ProbClassifier};
+use fonduer_learning::{prepare, DocRnnModel, FonduerModel, ModelConfig, ProbClassifier};
 use fonduer_nlp::HashedVocab;
 use fonduer_synth::Domain;
 
 fn main() {
     bare_model();
     session();
+    doc_rnn();
 }
 
 /// The bare model on 134 candidates of a 5-document corpus, 2 epochs.
@@ -96,4 +100,42 @@ fn session() {
     println!("session_marginals_fnv {:016x}", fnv1a64(&bits));
     let f1 = s.evaluate().expect("session evaluates").f1;
     println!("session_heldout_f1_bits {:016x}", f1.to_bits());
+}
+
+/// The document-level RNN on 40 seeded token streams over a 50-row
+/// vocabulary, 2 epochs: the first stream is empty, the others hold 1–47
+/// tokens. A stream is a positive when it contains token 7.
+fn doc_rnn() {
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let seqs: Vec<Vec<u32>> = (0..40)
+        .map(|i| {
+            let len = if i == 0 {
+                0
+            } else {
+                1 + (next() % 47) as usize
+            };
+            (0..len).map(|_| (next() % 50) as u32).collect()
+        })
+        .collect();
+    let targets: Vec<f32> = seqs
+        .iter()
+        .map(|s| if s.contains(&7) { 0.9 } else { 0.1 })
+        .collect();
+    let mut m = DocRnnModel::new(ModelConfig::default(), 50);
+    for epoch in 0..2 {
+        let loss = m.train_epoch(&seqs, &targets);
+        println!("docrnn_epoch {epoch} mean_loss_bits {:08x}", loss.to_bits());
+    }
+    let bits: Vec<u8> = seqs
+        .iter()
+        .flat_map(|s| m.predict_doc(s).to_bits().to_le_bytes())
+        .collect();
+    println!("docrnn_sequences {}", seqs.len());
+    println!("docrnn_predictions_fnv {:016x}", fnv1a64(&bits));
 }

@@ -12,7 +12,7 @@
 //!   orders of magnitude slower per epoch and hard to fit.
 
 use crate::input::CandidateInput;
-use crate::model::{ModelConfig, ProbClassifier};
+use crate::model::{ModelConfig, ProbClassifier, Workspace};
 use fonduer_nn::{
     bce_with_logit, sigmoid, Attention, BiLstm, Embedding, Linear, ParamId, ParamStore,
 };
@@ -131,14 +131,18 @@ impl DocRnnModel {
         }
     }
 
-    fn forward(&self, toks: &[u32]) -> f32 {
-        let xs: Vec<Vec<f32>> = toks
-            .iter()
-            .map(|&t| self.emb.forward(&self.store, t as usize))
-            .collect();
-        let (hs, _) = self.bilstm.forward_seq(&self.store, &xs);
-        let (t, _) = self.attn.forward(&self.store, &hs);
-        self.out.forward(&self.store, &t)[0]
+    /// Flat forward pass over one document, held in `ws` as a one-slot
+    /// candidate; returns the logit.
+    fn forward(&self, toks: &[u32], ws: &mut Workspace) -> f32 {
+        ws.ensure(1, self.cfg.d_attn);
+        self.emb.gather_rows(&self.store, toks, &mut ws.emb[0]);
+        self.bilstm
+            .forward_flat(&self.store, &ws.emb[0], &mut ws.lstm[0], &mut ws.hs[0]);
+        self.attn
+            .forward_flat(&self.store, &ws.hs[0], &mut ws.attn[0], &mut ws.concat);
+        let mut y = [0.0f32];
+        self.out.forward_into(&self.store, &ws.concat, &mut y);
+        y[0]
     }
 
     /// One training epoch over `(doc token stream, target)` pairs; returns
@@ -151,9 +155,10 @@ impl DocRnnModel {
         // One zeroing for the whole epoch: each step's `adam_step` zeroes
         // the gradients it reads.
         self.store.zero_grad();
+        let mut ws = Workspace::default();
         let mut total = 0.0f32;
         for &i in &order {
-            total += self.step(&seqs[i], targets[i]);
+            total += self.step(&seqs[i], targets[i], &mut ws);
         }
         let mean = total / seqs.len().max(1) as f32;
         fonduer_observe::counter("train.epochs", 1);
@@ -164,21 +169,23 @@ impl DocRnnModel {
 
     /// One Adam step on one document; returns its loss. Gradients must be
     /// zero on entry, and are again on return: `adam_step` consumes them.
-    fn step(&mut self, toks: &[u32], target: f32) -> f32 {
-        let xs: Vec<Vec<f32>> = toks
-            .iter()
-            .map(|&t| self.emb.forward(&self.store, t as usize))
-            .collect();
-        let (hs, mut lc) = self.bilstm.forward_seq(&self.store, &xs);
-        let (t, mut ac) = self.attn.forward(&self.store, &hs);
-        let z = self.out.forward(&self.store, &t)[0];
+    fn step(&mut self, toks: &[u32], target: f32, ws: &mut Workspace) -> f32 {
+        let z = self.forward(toks, ws);
         let (loss, dz) = bce_with_logit(z, target);
-        let dt = self.out.backward(&mut self.store, &t, &[dz]);
-        let dhs = self.attn.backward(&mut self.store, &mut ac, &dt);
-        let dxs = self.bilstm.backward_seq(&mut self.store, &mut lc, &dhs);
-        for (k, &tok) in toks.iter().enumerate() {
-            self.emb.backward(&mut self.store, tok as usize, &dxs[k]);
-        }
+        self.out
+            .backward_acc(&mut self.store, &ws.concat, &[dz], &mut ws.dcat);
+        ws.dhs.resize(ws.hs[0].rows(), self.bilstm.d_out());
+        self.attn.backward_flat(
+            &mut self.store,
+            &ws.hs[0],
+            &mut ws.attn[0],
+            &ws.dcat,
+            &mut ws.dhs,
+        );
+        ws.demb.resize(toks.len(), self.cfg.d_emb);
+        self.bilstm
+            .backward_flat(&mut self.store, &mut ws.lstm[0], &ws.dhs, &mut ws.demb);
+        self.emb.scatter_grad(&mut self.store, toks, &ws.demb);
         self.store.adam_step(self.cfg.lr, Some(self.cfg.clip));
         loss
     }
@@ -192,7 +199,7 @@ impl DocRnnModel {
 
     /// Marginal probability for one document token stream.
     pub fn predict_doc(&self, toks: &[u32]) -> f32 {
-        sigmoid(self.forward(toks))
+        sigmoid(self.forward(toks, &mut Workspace::default()))
     }
 }
 
@@ -269,9 +276,10 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(reference.cfg.seed ^ 0xd0c);
             let mut order: Vec<usize> = (0..seqs.len()).collect();
             shuffle(&mut rng, &mut order);
+            let mut ws = Workspace::default();
             for &i in &order {
                 reference.store.zero_grad();
-                reference.step(&seqs[i], targets[i]);
+                reference.step(&seqs[i], targets[i], &mut ws);
             }
         }
         // Every weight feeds the output, so equal outputs on every

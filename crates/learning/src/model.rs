@@ -49,13 +49,15 @@
 //! Inference ([`ProbClassifier::predict`]) encodes each distinct mention
 //! window once. Candidates are cross products of mentions, so the same
 //! marker-wrapped window recurs across candidates; windows are keyed by
-//! their token ids (each slot's markers are part of them), bucketed by
-//! length, and run through the Bi-LSTM as batched GEMMs
-//! ([`fonduer_nn::BiLstm::forward_batch`]) and attention. Each candidate
-//! then gathers its slots' pooled rows into the output layer and adds its
-//! sparse feature weights. The batched kernels compute every row with the
-//! same dot products whatever else the batch holds, so the marginals are
-//! bit-identical to predicting each candidate alone.
+//! their token ids (each slot's markers are part of them), and each
+//! distinct window runs through the same flat encoder training uses
+//! ([`fonduer_nn::Embedding::gather_rows`],
+//! [`fonduer_nn::BiLstm::forward_flat`],
+//! [`fonduer_nn::Attention::forward_flat`]). Each candidate then gathers
+//! its slots' pooled rows into the output layer and adds its sparse
+//! feature weights. A window's encoding depends only on its tokens and
+//! the weights, so the marginals are bit-identical to predicting each
+//! candidate alone.
 //!
 //! The pre-rewrite scalar path is preserved via `fonduer_nn::reference`
 //! and exposed through hidden `*_reference` hooks; the golden-parity tests
@@ -63,13 +65,13 @@
 
 use crate::input::CandidateInput;
 use fonduer_nn::{
-    bce_with_logit, reference, sigmoid, Attention, AttentionCache, BiBatchScratch, BiLstm,
-    BiLstmCache, Embedding, Linear, ParamId, ParamStore,
+    bce_with_logit, reference, sigmoid, Attention, AttentionCache, BiLstm, BiLstmCache, Embedding,
+    Linear, ParamId, ParamStore,
 };
 use fonduer_tensor::{self as tensor, Mat};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::time::Instant;
 
 /// Hyperparameters for [`FonduerModel`] and the baselines that reuse it.
@@ -165,35 +167,38 @@ pub struct FonduerModel {
     reached_rows: Vec<u32>,
 }
 
-/// Reusable flat activation workspace for one candidate. Every matrix,
+/// Reusable flat activation workspace for one candidate (the
+/// document-level RNN uses it as a one-slot candidate). Every matrix,
 /// cache and vector keeps its capacity across samples, so a training epoch
 /// or prediction sweep performs no per-sample allocations once the
 /// high-water shapes are reached.
 #[derive(Default)]
-struct Workspace {
+pub(crate) struct Workspace {
     /// Per mention: `T × d_emb` embedded tokens.
-    emb: Vec<Mat>,
+    pub(crate) emb: Vec<Mat>,
     /// Per mention: Bi-LSTM BPTT cache, with its backward scratch.
-    lstm: Vec<BiLstmCache>,
+    pub(crate) lstm: Vec<BiLstmCache>,
     /// Per mention: `T × 2h` hidden states.
-    hs: Vec<Mat>,
+    pub(crate) hs: Vec<Mat>,
     /// Per mention: attention cache, with its backward scratch.
-    attn: Vec<AttentionCache>,
+    pub(crate) attn: Vec<AttentionCache>,
     /// Concatenated pooled vectors `[t_1 … t_n]`.
-    concat: Vec<f32>,
+    pub(crate) concat: Vec<f32>,
     /// Gradient of `concat`.
-    dcat: Vec<f32>,
+    pub(crate) dcat: Vec<f32>,
     /// Scratch: `T × 2h` hidden-state grads of the current mention.
-    dhs: Mat,
+    pub(crate) dhs: Mat,
     /// Scratch: `T × d_emb` input grads of the current mention.
-    demb: Mat,
+    pub(crate) demb: Mat,
     /// Scratch: deduplicated token ids of the current sample (the
     /// embedding rows its gradient touches).
     tok_ids: Vec<u32>,
 }
 
 impl Workspace {
-    fn ensure(&mut self, arity: usize, d_attn: usize) {
+    /// Size the per-mention slots for `arity` mentions and zero `concat`
+    /// and `dcat`.
+    pub(crate) fn ensure(&mut self, arity: usize, d_attn: usize) {
         self.emb.resize_with(arity, Mat::default);
         self.lstm.resize_with(arity, BiLstmCache::default);
         self.hs.resize_with(arity, Mat::default);
@@ -369,7 +374,7 @@ impl FonduerModel {
             for toks in &input.mention_tokens {
                 let xs: Vec<Vec<f32>> = toks
                     .iter()
-                    .map(|&t| self.emb.forward(&self.store, t as usize))
+                    .map(|&t| reference::embedding_forward(&self.emb, &self.store, t as usize))
                     .collect();
                 let (hs, lc) = reference::bilstm_forward_seq(&self.bilstm, &self.store, &xs);
                 let (t, ac) = reference::attention_forward(&self.attn, &self.store, &hs);
@@ -426,7 +431,12 @@ impl FonduerModel {
                         &dhs,
                     );
                     for (k, &tok) in toks.iter().enumerate() {
-                        self.emb.backward(&mut self.store, tok as usize, &dxs[k]);
+                        reference::embedding_backward(
+                            &self.emb,
+                            &mut self.store,
+                            tok as usize,
+                            &dxs[k],
+                        );
                     }
                 }
             } else {
@@ -534,11 +544,9 @@ impl FonduerModel {
     ///
     /// Windows are keyed by their token ids: every slot runs the same
     /// encoder and each slot's markers are part of its ids, so equal ids
-    /// pool to equal vectors. Distinct windows are bucketed by length and
-    /// each bucket runs as timestep-major GEMMs
-    /// ([`fonduer_nn::BiLstm::forward_batch`]), whose kernels compute
-    /// every row with the same dot products whatever else the batch holds.
-    /// Empty windows are not encoded and pool to zero.
+    /// pool to equal vectors. Each distinct window runs through the flat
+    /// encoder training uses, with one reused set of caches. Empty windows
+    /// are not encoded and pool to zero.
     fn encode_windows(&self, inputs: &[CandidateInput]) -> (Mat, Vec<u32>) {
         // Distinct windows in first-occurrence order; the map only serves
         // lookups and is never iterated.
@@ -554,54 +562,29 @@ impl FonduerModel {
                 slot_window.push(w);
             }
         }
-        let mut buckets: BTreeMap<usize, Vec<u32>> = BTreeMap::new();
-        for (w, toks) in windows.iter().enumerate() {
-            if !toks.is_empty() {
-                buckets.entry(toks.len()).or_default().push(w as u32);
-            }
-        }
         fonduer_observe::counter("infer.windows", slot_window.len() as u64);
         fonduer_observe::counter(
             "infer.windows_encoded",
-            buckets.values().map(Vec::len).sum::<usize>() as u64,
+            windows.iter().filter(|w| !w.is_empty()).count() as u64,
         );
         let mut pooled = Mat::zeros(windows.len(), self.cfg.d_attn);
-        let mut xs = Mat::default();
-        let mut hs_all = Mat::default();
-        let mut seq_hs = Mat::default();
-        let mut scratch = BiBatchScratch::default();
+        let (mut xs, mut hs) = (Mat::default(), Mat::default());
+        let mut lstm_cache = BiLstmCache::default();
         let mut attn_cache = AttentionCache::default();
-        let table = self.store.p(self.emb.table);
-        let d_emb = self.cfg.d_emb;
-        for (&len, members) in &buckets {
-            let batch = members.len();
-            xs.resize(len * batch, d_emb);
-            for (b, &w) in members.iter().enumerate() {
-                for (t, &tok) in windows[w as usize].iter().enumerate() {
-                    let idx = tok as usize * d_emb;
-                    xs.row_mut(t * batch + b)
-                        .copy_from_slice(&table[idx..idx + d_emb]);
-                }
+        for (w, toks) in windows.iter().enumerate() {
+            if toks.is_empty() {
+                continue;
             }
+            self.emb.gather_rows(&self.store, toks, &mut xs);
             self.bilstm
-                .forward_batch(&self.store, &xs, batch, &mut scratch, &mut hs_all);
-            for (b, &w) in members.iter().enumerate() {
-                seq_hs.resize(len, self.bilstm.d_out());
-                for t in 0..len {
-                    seq_hs.row_mut(t).copy_from_slice(hs_all.row(t * batch + b));
-                }
-                self.attn.forward_flat(
-                    &self.store,
-                    &seq_hs,
-                    &mut attn_cache,
-                    pooled.row_mut(w as usize),
-                );
-            }
+                .forward_flat(&self.store, &xs, &mut lstm_cache, &mut hs);
+            self.attn
+                .forward_flat(&self.store, &hs, &mut attn_cache, pooled.row_mut(w));
         }
         (pooled, slot_window)
     }
 
-    /// Batched inference: encode the distinct windows once
+    /// Shared-window inference: encode the distinct windows once
     /// ([`FonduerModel::encode_windows`]), then score each candidate from
     /// its slots' pooled rows and its sparse features. Bit-identical to
     /// scoring each candidate alone.
@@ -769,8 +752,8 @@ mod tests {
     }
 
     #[test]
-    fn batched_predict_matches_sequential_predict_one() {
-        // Ragged lengths across candidates exercise the length buckets.
+    fn shared_predict_matches_sequential_predict_one() {
+        // Ragged window lengths across candidates.
         let mut inputs = Vec::new();
         for i in 0..17u32 {
             let l1 = 1 + (i as usize % 5);
@@ -801,20 +784,20 @@ mod tests {
             2,
         );
         m.fit(&inputs, &targets);
-        let batched = m.predict(&inputs);
-        for (inp, &b) in inputs.iter().zip(&batched) {
+        let shared = m.predict(&inputs);
+        for (inp, &b) in inputs.iter().zip(&shared) {
             let s = m.predict_one(inp);
             assert!(
                 (b - s).abs() < 1e-6,
-                "batched {b} vs sequential {s} must agree"
+                "shared {b} vs sequential {s} must agree"
             );
         }
     }
 
     /// Windows repeated across candidates and across slots, empty windows,
-    /// and ragged lengths. Three different windows of length 3 share a
-    /// bucket, and windows that differ only in their last token, or extend
-    /// another, must not share an encoding.
+    /// and ragged lengths. Three different windows have length 3, and
+    /// windows that differ only in their last token, or extend another,
+    /// must not share an encoding.
     fn shared_windows() -> Vec<CandidateInput> {
         let pool: [&[u32]; 7] = [
             &[],
@@ -852,10 +835,10 @@ mod tests {
         m.fit(&inputs, &targets);
         let all = m.predict(&inputs);
         for (i, (inp, &p)) in inputs.iter().zip(&all).enumerate() {
-            // A batch of one shares nothing with other candidates.
+            // A call with one candidate shares no window with others.
             let alone = m.predict(std::slice::from_ref(inp))[0];
             assert_eq!(p.to_bits(), alone.to_bits(), "candidate {i}");
-            // `predict_one` runs the unbatched kernels.
+            // `predict_one` encodes every slot itself.
             let s = m.predict_one(inp);
             assert!((p - s).abs() < 1e-6, "shared {p} vs sequential {s}");
         }

@@ -10,20 +10,22 @@
 //! * [`token`] — span-based tokenizer aware of numbers, units, part codes,
 //!   intervals; emits byte offsets into the source text, no `String`s;
 //! * [`sentence`] — sentence splitter with abbreviation/decimal protection;
-//! * [`simd`] — SWAR/AVX2 byte-class scanners behind runtime dispatch,
-//!   bit-identical to the scalar path (`FONDUER_NO_AVX2=1` forces scalar);
 //! * [`tag`] — POS tagger, lemmatizer, entity-style tagger;
 //! * [`ngram`] — n-gram helpers used by matchers and labeling functions;
 //! * [`vocab`] — hashed vocabulary backing trainable word embeddings;
 //! * [`preprocess`] — fused split→tokenize→tag pass writing the document
 //!   arena directly, plus the allocating `SentenceData` compatibility path.
+//!
+//! The tokenizer and the sentence splitter scan bytes with plain loops over
+//! one private byte-class table: no `unsafe`, no vector path and no
+//! runtime dispatch.
 
 #![warn(missing_docs)]
 
 pub mod ngram;
 pub mod preprocess;
+mod scan;
 pub mod sentence;
-pub mod simd;
 pub mod tag;
 pub mod token;
 pub mod vocab;
@@ -33,9 +35,15 @@ pub use preprocess::{
     preprocess, preprocess_into, preprocess_sentence, preprocess_sentence_into, NlpScratch,
 };
 pub use sentence::{sentence_texts, split_sentences};
-pub use simd::simd_level;
 pub use tag::{is_number, lemmatize, lower_into, ner_tag, pos_tag, UNITS};
 #[allow(deprecated)]
 pub use token::token_texts;
 pub use token::{tokenize, tokenize_into, Token};
 pub use vocab::{fnv1a, HashedVocab};
+
+/// The tokenizer's scan path, printed next to `fonduer_tensor::simd_level()`
+/// in benchmark metadata. Always `"scalar"`: every byte-class scan is a
+/// plain byte loop, and no environment variable changes it.
+pub fn simd_level() -> &'static str {
+    "scalar"
+}

@@ -4,6 +4,8 @@
 //! whitespace and an upper-case letter or digit, with protection for common
 //! abbreviations and decimal numbers.
 
+use crate::scan::{run_end, TERMINATOR, WS};
+
 const ABBREVIATIONS: &[&str] = &[
     "e.g", "i.e", "etc", "fig", "figs", "eq", "vs", "no", "dr", "mr", "mrs", "ms", "inc", "ltd",
     "co", "approx", "max", "min", "typ", "al",
@@ -23,10 +25,10 @@ fn ends_with_abbreviation(prefix: &str) -> bool {
 /// Split `text` into sentence substrings with byte ranges `(start, end)`.
 ///
 /// Byte-oriented scan: candidate terminators (`.`, `!`, `?` — all ASCII)
-/// are located with the SWAR/AVX2 scanner in [`crate::simd`], and only the
-/// look-ahead over following whitespace decodes chars (non-ASCII
-/// whitespace and uppercase tests are Unicode-aware, matching the original
-/// char-indexed implementation exactly).
+/// are located with a plain byte loop, and only the look-ahead over
+/// following whitespace decodes chars (non-ASCII whitespace and uppercase
+/// tests are Unicode-aware, matching the original char-indexed
+/// implementation exactly).
 pub fn split_sentences(text: &str) -> Vec<(usize, usize)> {
     let b = text.as_bytes();
     let n = b.len();
@@ -34,7 +36,7 @@ pub fn split_sentences(text: &str) -> Vec<(usize, usize)> {
     let mut sent_start = 0usize;
     let mut i = 0usize;
     while i < n {
-        i = crate::simd::find_terminator(b, i);
+        i = run_end(b, i, TERMINATOR, false);
         if i >= n {
             break;
         }
@@ -54,7 +56,7 @@ pub fn split_sentences(text: &str) -> Vec<(usize, usize)> {
         // upper-case letter/digit (or end of text).
         let mut j = i + 1;
         loop {
-            j = crate::simd::ws_run_end(b, j);
+            j = run_end(b, j, WS, true);
             match text[j..].chars().next() {
                 Some(ch) if !ch.is_ascii() && ch.is_whitespace() => j += ch.len_utf8(),
                 _ => break,

@@ -8,13 +8,13 @@
 //!
 //! Tokens are pure byte spans into the source text — no per-token `String`
 //! is ever allocated. The scan itself is byte-oriented: ASCII runs (digits,
-//! word characters, whitespace) advance through the SWAR/AVX2 scanners in
-//! [`crate::simd`], and only non-ASCII lead bytes fall back to `char`
-//! decoding. The emitted spans are bit-identical to the original
-//! char-by-char rule set; parity tests in this module and the SIMD module
-//! pin that equivalence.
+//! word characters, whitespace) advance one byte at a time through the
+//! byte-class table in `crate::scan`, and only non-ASCII lead bytes fall
+//! back to `char` decoding. The emitted spans are bit-identical to the
+//! original char-by-char rule set; parity tests in this module pin that
+//! equivalence.
 
-use crate::simd;
+use crate::scan::{in_class, run_end, DIGIT, WORD, WS};
 
 /// A token: a `[start, end)` byte span into the source string.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,9 +75,9 @@ fn word_run_end(text: &str, start: usize) -> usize {
             if c.is_ascii_digit() {
                 if saw_letter {
                     // Mixed run: everything word-like keeps the token going.
-                    j = simd::word_run_end(b, j);
+                    j = run_end(b, j, WORD, true);
                 } else {
-                    j = simd::digit_run_end(b, j);
+                    j = run_end(b, j, DIGIT, true);
                 }
                 continue;
             }
@@ -86,7 +86,7 @@ fn word_run_end(text: &str, start: usize) -> usize {
                     break;
                 }
                 saw_letter = true;
-                j = simd::word_run_end(b, j);
+                j = run_end(b, j, WORD, true);
                 continue;
             }
             break;
@@ -122,8 +122,8 @@ pub fn tokenize_into(text: &str, out: &mut Vec<Token>) {
     while i < n {
         let c = b[i];
         if c < 0x80 {
-            if simd::is_ascii_ws(c) {
-                i = simd::ws_run_end(b, i + 1);
+            if in_class(c, WS) {
+                i = run_end(b, i + 1, WS, true);
                 continue;
             }
             // Signed / decimal number: [-+]?digits(.digits)? — a leading
@@ -137,11 +137,11 @@ pub fn tokenize_into(text: &str, out: &mut Vec<Token>) {
                 && (i == 0 || !prev_char_is_alphanumeric(text, i));
             if c.is_ascii_digit() || sign_ok {
                 let start = i;
-                let mut j = simd::digit_run_end(b, i + usize::from(sign_ok));
+                let mut j = run_end(b, i + usize::from(sign_ok), DIGIT, true);
                 // Decimal point must be followed by a digit (so "150."
                 // splits).
                 if j + 1 < n && b[j] == b'.' && b[j + 1].is_ascii_digit() {
-                    j = simd::digit_run_end(b, j + 1);
+                    j = run_end(b, j + 1, DIGIT, true);
                 }
                 out.push(Token {
                     start: start as u32,
@@ -164,7 +164,7 @@ pub fn tokenize_into(text: &str, out: &mut Vec<Token>) {
                 i = j;
                 continue;
             }
-            if simd::is_ascii_word(c) {
+            if in_class(c, WORD) {
                 let j = word_run_end(text, i);
                 out.push(Token {
                     start: i as u32,
@@ -307,8 +307,8 @@ mod tests {
     }
 
     #[test]
-    fn long_runs_cross_simd_blocks() {
-        // Runs longer than the 8-byte SWAR and 32-byte AVX2 block sizes.
+    fn long_runs_stay_whole() {
+        // Word, digit and whitespace runs of 75–100 bytes.
         let long_word = "A".repeat(100);
         let long_num = "7".repeat(100);
         let text = format!("{long_word} {long_num} end");
@@ -460,19 +460,14 @@ mod tests {
     #[test]
     fn byte_tokenizer_matches_char_reference() {
         for &case in ADVERSARIAL {
-            assert_eq!(
-                tokenize(case),
-                tokenize_reference(case),
-                "case {case:?} (simd level {})",
-                crate::simd::simd_level()
-            );
+            assert_eq!(tokenize(case), tokenize_reference(case), "case {case:?}");
         }
     }
 
     #[test]
     fn byte_tokenizer_matches_char_reference_on_random_text() {
         // Deterministic pseudo-random mixtures of the interesting char
-        // classes, long enough to cross SIMD block boundaries.
+        // classes, at short and long lengths.
         let alphabet: Vec<char> = "abzAZ09._-+ °≤…αΣ\t\u{a0}?!…5".chars().collect();
         let mut state = 0x243f_6a88_85a3_08d3u64;
         for len in [1usize, 7, 8, 9, 31, 32, 33, 200] {
@@ -487,21 +482,5 @@ mod tests {
                 assert_eq!(tokenize(&s), tokenize_reference(&s), "input {s:?}");
             }
         }
-    }
-
-    #[test]
-    fn simd_paths_agree_on_tokenization() {
-        let inputs: Vec<String> = ADVERSARIAL
-            .iter()
-            .map(|s| s.to_string())
-            .chain(std::iter::once(
-                "Storage temperature -65 ... 150 °C, 417 K/W thermal resistance. ".repeat(8),
-            ))
-            .collect();
-        let dispatched: Vec<Vec<Token>> = inputs.iter().map(|s| tokenize(s)).collect();
-        crate::simd::force_generic(true);
-        let generic: Vec<Vec<Token>> = inputs.iter().map(|s| tokenize(s)).collect();
-        crate::simd::force_generic(false);
-        assert_eq!(dispatched, generic);
     }
 }

@@ -31,16 +31,14 @@ pub struct Attention {
     pub d_attn: usize,
 }
 
-/// Cache for the backward pass. `hs` is only populated by the legacy
-/// [`Attention::forward`] wrapper; flat callers keep the hidden states
-/// themselves and pass them back to [`Attention::backward_flat`]. The
-/// backward scratch keeps its capacity, so a reused cache is
-/// allocation-free in steady state.
+/// Cache for the backward pass. Callers keep the hidden states themselves
+/// and pass them back to [`Attention::backward_flat`]. The backward scratch
+/// keeps its capacity, so a reused cache is allocation-free in steady
+/// state.
 #[derive(Debug, Clone, Default)]
 pub struct AttentionCache {
     us: Mat,
     alphas: Vec<f32>,
-    hs: Mat,
     /// Backward scratch: `dL/dα` (`n`).
     dalpha: Vec<f32>,
     /// Backward scratch: grad of the context vector (`d_attn`).
@@ -129,7 +127,6 @@ impl Attention {
             dalpha,
             d_uw,
             du,
-            ..
         } = cache;
         // t = Σ α_j u_j ; scores s_j = u_j · u_w ; α = softmax(s).
         // dL/du_j = α_j dt + (dL/ds_j) u_w ;  dL/dα_j = dt · u_j.
@@ -154,37 +151,6 @@ impl Attention {
         }
         tensor::add(d_uw, store.grad_mut(self.context));
     }
-
-    /// Pool a sequence of hidden states into one `d_attn` vector. Empty
-    /// input pools to the zero vector. (Legacy wrapper over
-    /// [`Attention::forward_flat`].)
-    pub fn forward(&self, store: &ParamStore, hs: &[Vec<f32>]) -> (Vec<f32>, AttentionCache) {
-        let hm = if hs.is_empty() {
-            Mat::zeros(0, self.proj.d_in)
-        } else {
-            Mat::from_rows(hs)
-        };
-        let mut cache = AttentionCache::default();
-        let mut t = vec![0.0; self.d_attn];
-        self.forward_flat(store, &hm, &mut cache, &mut t);
-        cache.hs = hm;
-        (t, cache)
-    }
-
-    /// Backward: given `dL/dt`, accumulate parameter grads and return
-    /// `dL/dh_k`. (Legacy wrapper over [`Attention::backward_flat`].)
-    pub fn backward(
-        &self,
-        store: &mut ParamStore,
-        cache: &mut AttentionCache,
-        dt: &[f32],
-    ) -> Vec<Vec<f32>> {
-        let hs = std::mem::take(&mut cache.hs);
-        let mut dhs = Mat::zeros(hs.rows(), self.proj.d_in);
-        self.backward_flat(store, &hs, cache, dt, &mut dhs);
-        cache.hs = hs;
-        dhs.to_rows()
-    }
 }
 
 #[cfg(test)]
@@ -203,11 +169,39 @@ mod tests {
         (0..n).map(|_| (0..d).map(|_| unit()).collect()).collect()
     }
 
+    /// Pool `input` (`n × d_in`) into a fresh vector, filling `cache`.
+    fn pool(att: &Attention, s: &ParamStore, input: &Mat, cache: &mut AttentionCache) -> Vec<f32> {
+        let mut t = vec![0.0; att.d_attn];
+        att.forward_flat(s, input, cache, &mut t);
+        t
+    }
+
+    /// Backward of `dt` through the pass that filled `cache`, returning
+    /// `dL/dh`.
+    fn unpool(
+        att: &Attention,
+        s: &mut ParamStore,
+        input: &Mat,
+        cache: &mut AttentionCache,
+        dt: &[f32],
+    ) -> Mat {
+        let mut dhs = Mat::zeros(input.rows(), att.proj.d_in);
+        att.backward_flat(s, input, cache, dt, &mut dhs);
+        dhs
+    }
+
+    /// Loss: sum of squares of the pooled vector / 2.
+    fn pooled_loss(att: &Attention, s: &ParamStore, input: &Mat) -> f32 {
+        let t = pool(att, s, input, &mut AttentionCache::default());
+        t.iter().map(|v| v * v).sum::<f32>() / 2.0
+    }
+
     #[test]
     fn alphas_form_distribution() {
         let mut s = ParamStore::new(1);
         let att = Attention::new(&mut s, 4, 3);
-        let (t, cache) = att.forward(&s, &hs(1, 5, 4));
+        let mut cache = AttentionCache::default();
+        let t = pool(&att, &s, &Mat::from_rows(&hs(1, 5, 4)), &mut cache);
         assert_eq!(t.len(), 3);
         let sum: f32 = cache.alphas.iter().sum();
         assert!((sum - 1.0).abs() < 1e-5);
@@ -218,11 +212,11 @@ mod tests {
     fn empty_sequence_pools_to_zero() {
         let mut s = ParamStore::new(2);
         let att = Attention::new(&mut s, 4, 3);
-        let (t, mut cache) = att.forward(&s, &[]);
+        let input = Mat::zeros(0, 4);
+        let mut cache = AttentionCache::default();
+        let t = pool(&att, &s, &input, &mut cache);
         assert_eq!(t, vec![0.0; 3]);
-        assert!(att
-            .backward(&mut s, &mut cache, &[1.0, 1.0, 1.0])
-            .is_empty());
+        assert!(unpool(&att, &mut s, &input, &mut cache, &[1.0, 1.0, 1.0]).is_empty());
     }
 
     #[test]
@@ -230,7 +224,9 @@ mod tests {
         let mut s = ParamStore::new(5);
         let att = Attention::new(&mut s, 4, 3);
         let input = hs(9, 6, 4);
-        let (t, mut cache) = att.forward(&s, &input);
+        let hm = Mat::from_rows(&input);
+        let mut cache = AttentionCache::default();
+        let t = pool(&att, &s, &hm, &mut cache);
         let (t_ref, cache_ref) = crate::reference::attention_forward(&att, &s, &input);
         for (a, b) in t.iter().zip(&t_ref) {
             assert!((a - b).abs() < 1e-5, "pooled: {a} vs {b}");
@@ -238,12 +234,12 @@ mod tests {
         let mut s2 = s.clone();
         s.zero_grad();
         s2.zero_grad();
-        let dhs = att.backward(&mut s, &mut cache, &t);
+        let dhs = unpool(&att, &mut s, &hm, &mut cache, &t);
         let dhs_ref = crate::reference::attention_backward(&att, &mut s2, &cache_ref, &t_ref);
         for (a, b) in s.g.iter().zip(&s2.g) {
             assert!((a - b).abs() < 1e-4, "grad: {a} vs {b}");
         }
-        for (a, b) in dhs.iter().flatten().zip(dhs_ref.iter().flatten()) {
+        for (a, b) in dhs.as_slice().iter().zip(dhs_ref.iter().flatten()) {
             assert!((a - b).abs() < 1e-4, "dh: {a} vs {b}");
         }
     }
@@ -252,37 +248,29 @@ mod tests {
     fn attention_gradcheck() {
         let mut s = ParamStore::new(3);
         let att = Attention::new(&mut s, 3, 2);
-        let input = hs(7, 4, 3);
-        let loss = |st: &ParamStore| -> f32 {
-            let (t, _) = att.forward(st, &input);
-            t.iter().map(|v| v * v).sum::<f32>() / 2.0
-        };
+        let input = Mat::from_rows(&hs(7, 4, 3));
+        let loss = |st: &ParamStore| pooled_loss(&att, st, &input);
         s.zero_grad();
-        let (t, mut cache) = att.forward(&s, &input);
-        let dhs = att.backward(&mut s, &mut cache, &t);
+        let mut cache = AttentionCache::default();
+        let t = pool(&att, &s, &input, &mut cache);
+        let dhs = unpool(&att, &mut s, &input, &mut cache, &t);
         num_grad(&mut s, att.proj.w, loss, 0.05);
         num_grad(&mut s, att.proj.b, loss, 0.05);
         num_grad(&mut s, att.context, loss, 0.05);
         // Input gradient check.
         const EPS: f32 = 1e-2;
-        for j in 0..input.len() {
+        for j in 0..input.rows() {
             for k in 0..3 {
                 let mut ip = input.clone();
-                ip[j][k] += EPS;
-                let lp = {
-                    let (t, _) = att.forward(&s, &ip);
-                    t.iter().map(|v| v * v).sum::<f32>() / 2.0
-                };
-                ip[j][k] -= 2.0 * EPS;
-                let lm = {
-                    let (t, _) = att.forward(&s, &ip);
-                    t.iter().map(|v| v * v).sum::<f32>() / 2.0
-                };
+                ip.row_mut(j)[k] += EPS;
+                let lp = pooled_loss(&att, &s, &ip);
+                ip.row_mut(j)[k] -= 2.0 * EPS;
+                let lm = pooled_loss(&att, &s, &ip);
                 let numeric = (lp - lm) / (2.0 * EPS);
                 assert!(
-                    (numeric - dhs[j][k]).abs() < 0.02,
+                    (numeric - dhs.row(j)[k]).abs() < 0.02,
                     "dh[{j}][{k}]: {numeric} vs {}",
-                    dhs[j][k]
+                    dhs.row(j)[k]
                 );
             }
         }
@@ -298,8 +286,9 @@ mod tests {
         s.p_mut(att.proj.w).copy_from_slice(&[2.0, 0.0, 0.0, 2.0]);
         s.p_mut(att.proj.b).copy_from_slice(&[0.0, 0.0]);
         s.p_mut(att.context).copy_from_slice(&[1.0, 0.0]);
-        let input = vec![vec![1.0, 0.0], vec![-1.0, 0.0], vec![0.1, 0.0]];
-        let (_, cache) = att.forward(&s, &input);
+        let input = Mat::from_slice(3, 2, &[1.0, 0.0, -1.0, 0.0, 0.1, 0.0]);
+        let mut cache = AttentionCache::default();
+        pool(&att, &s, &input, &mut cache);
         assert!(cache.alphas[0] > cache.alphas[2]);
         assert!(cache.alphas[2] > cache.alphas[1]);
     }

@@ -33,13 +33,6 @@ impl Linear {
         tensor::add(store.p(self.b), y);
     }
 
-    /// Forward pass.
-    pub fn forward(&self, store: &ParamStore, x: &[f32]) -> Vec<f32> {
-        let mut y = vec![0.0; self.d_out];
-        self.forward_into(store, x, &mut y);
-        y
-    }
-
     /// Backward pass accumulating `dL/dx` into `dx` (`+=`), parameter
     /// grads into the store. The weight values and gradients are
     /// split-borrowed — no copy.
@@ -50,13 +43,6 @@ impl Linear {
             tensor::gemv_t_acc(w_vals, self.d_out, self.d_in, dy, dx);
         }
         tensor::add(dy, store.grad_mut(self.b));
-    }
-
-    /// Backward pass: accumulates parameter grads, returns `dL/dx`.
-    pub fn backward(&self, store: &mut ParamStore, x: &[f32], dy: &[f32]) -> Vec<f32> {
-        let mut dx = vec![0.0; self.d_in];
-        self.backward_acc(store, x, dy, &mut dx);
-        dx
     }
 }
 
@@ -81,21 +67,7 @@ impl Embedding {
         }
     }
 
-    /// Look up one row.
-    pub fn forward(&self, store: &ParamStore, idx: usize) -> Vec<f32> {
-        debug_assert!(idx < self.vocab);
-        store.p(self.table)[idx * self.dim..(idx + 1) * self.dim].to_vec()
-    }
-
-    /// Accumulate the gradient for one looked-up row.
-    pub fn backward(&self, store: &mut ParamStore, idx: usize, dy: &[f32]) {
-        let g = &mut store.grad_mut(self.table)[idx * self.dim..(idx + 1) * self.dim];
-        tensor::add(dy, g);
-    }
-
-    /// Gather the rows for a token sequence into a reused `T × dim` matrix
-    /// (the flat-model replacement for per-token [`Embedding::forward`]
-    /// calls, which each allocate).
+    /// Gather the rows for a token sequence into a reused `T × dim` matrix.
     pub fn gather_rows(&self, store: &ParamStore, toks: &[u32], out: &mut Mat) {
         out.resize(toks.len(), self.dim);
         let table = store.p(self.table);
@@ -119,20 +91,17 @@ impl Embedding {
     }
 }
 
-/// Elementwise tanh forward.
-pub fn tanh_vec(x: &[f32]) -> Vec<f32> {
-    x.iter().map(|v| v.tanh()).collect()
-}
-
-/// Backward through tanh given the *output* `y = tanh(x)`.
-pub fn tanh_backward(y: &[f32], dy: &[f32]) -> Vec<f32> {
-    y.iter().zip(dy).map(|(&t, &d)| d * (1.0 - t * t)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testutil::num_grad;
+
+    /// `y = W x + b` into a fresh vector.
+    fn forward(l: &Linear, s: &ParamStore, x: &[f32]) -> Vec<f32> {
+        let mut y = vec![0.0; l.d_out];
+        l.forward_into(s, x, &mut y);
+        y
+    }
 
     #[test]
     fn linear_forward_known_values() {
@@ -140,7 +109,7 @@ mod tests {
         let l = Linear::new(&mut s, 2, 2);
         s.p_mut(l.w).copy_from_slice(&[1.0, 2.0, 3.0, 4.0]);
         s.p_mut(l.b).copy_from_slice(&[0.5, -0.5]);
-        let y = l.forward(&s, &[1.0, 1.0]);
+        let y = forward(&l, &s, &[1.0, 1.0]);
         assert_eq!(y, vec![3.5, 6.5]);
     }
 
@@ -151,12 +120,13 @@ mod tests {
         let x = vec![0.3, -0.7, 1.1];
         // Loss = sum(y^2)/2 so dL/dy = y.
         let loss = |s: &ParamStore| -> f32 {
-            let y = l.forward(s, &x);
+            let y = forward(&l, s, &x);
             y.iter().map(|v| v * v).sum::<f32>() / 2.0
         };
         s.zero_grad();
-        let y = l.forward(&s, &x);
-        let dx = l.backward(&mut s, &x, &y);
+        let y = forward(&l, &s, &x);
+        let mut dx = vec![0.0; l.d_in];
+        l.backward_acc(&mut s, &x, &y, &mut dx);
         num_grad(&mut s, l.w, loss, 1e-3);
         num_grad(&mut s, l.b, loss, 1e-3);
         // Also check dx numerically.
@@ -164,9 +134,9 @@ mod tests {
         for i in 0..x.len() {
             let eps = 1e-3;
             xp[i] = x[i] + eps;
-            let yp: f32 = l.forward(&s, &xp).iter().map(|v| v * v).sum::<f32>() / 2.0;
+            let yp: f32 = forward(&l, &s, &xp).iter().map(|v| v * v).sum::<f32>() / 2.0;
             xp[i] = x[i] - eps;
-            let ym: f32 = l.forward(&s, &xp).iter().map(|v| v * v).sum::<f32>() / 2.0;
+            let ym: f32 = forward(&l, &s, &xp).iter().map(|v| v * v).sum::<f32>() / 2.0;
             xp[i] = x[i];
             let num = (yp - ym) / (2.0 * eps);
             assert!(
@@ -181,25 +151,15 @@ mod tests {
     fn embedding_lookup_and_grad() {
         let mut s = ParamStore::new(2);
         let e = Embedding::new(&mut s, 10, 4);
-        let v = e.forward(&s, 3);
-        assert_eq!(v.len(), 4);
-        assert_eq!(v, s.p(e.table)[12..16].to_vec());
+        let mut rows = Mat::default();
+        e.gather_rows(&s, &[3, 3], &mut rows);
+        assert_eq!((rows.rows(), rows.cols()), (2, 4));
+        assert_eq!(rows.row(0), &s.p(e.table)[12..16]);
+        assert_eq!(rows.row(1), rows.row(0));
         s.zero_grad();
-        e.backward(&mut s, 3, &[1.0, 2.0, 3.0, 4.0]);
-        e.backward(&mut s, 3, &[1.0, 0.0, 0.0, 0.0]);
+        let d = Mat::from_slice(2, 4, &[1.0, 2.0, 3.0, 4.0, 1.0, 0.0, 0.0, 0.0]);
+        e.scatter_grad(&mut s, &[3, 3], &d);
         assert_eq!(&s.grad(e.table)[12..16], &[2.0, 2.0, 3.0, 4.0]);
         assert!(s.grad(e.table)[..12].iter().all(|&x| x == 0.0));
-    }
-
-    #[test]
-    fn tanh_roundtrip() {
-        let x = vec![0.5, -1.0, 0.0];
-        let y = tanh_vec(&x);
-        assert!((y[0] - 0.5f32.tanh()).abs() < 1e-6);
-        let dy = vec![1.0, 1.0, 1.0];
-        let dx = tanh_backward(&y, &dy);
-        // d tanh(0)/dx = 1
-        assert!((dx[2] - 1.0).abs() < 1e-6);
-        assert!(dx[1] < dx[2]);
     }
 }

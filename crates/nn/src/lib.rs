@@ -13,11 +13,14 @@
 //! `adam_step` cycle. All layers are verified against numerical gradients
 //! in their tests.
 //!
-//! Activations on the hot path are flat row-major `fonduer_tensor::Mat`
-//! matrices driven through unrolled kernels (`forward_flat`/
-//! `backward_flat`, plus batched `forward_batch` on the Bi-LSTM); the
-//! original `Vec<Vec<f32>>` scalar formulation is frozen in [`reference`]
-//! and every flat path is tested to 1e-5 parity against it.
+//! Activations are flat row-major `fonduer_tensor::Mat` matrices in
+//! caller-owned, reused caches, driven through unrolled kernels. Each
+//! layer has one path — `forward_flat`/`backward_flat` on the LSTMs and
+//! attention, `forward_into`/`backward_acc` on [`Linear`],
+//! `gather_rows`/`scatter_grad` on [`Embedding`] — and it serves training,
+//! inference and the document-level RNN alike. The original
+//! `Vec<Vec<f32>>` scalar formulation is frozen in [`reference`] and every
+//! flat path is tested to 1e-5 parity against it.
 
 #![warn(missing_docs)]
 
@@ -31,8 +34,8 @@ pub mod store;
 pub mod testutil;
 
 pub use attention::{Attention, AttentionCache};
-pub use layers::{tanh_backward, tanh_vec, Embedding, Linear};
+pub use layers::{Embedding, Linear};
 pub use loss::{batch_bce, bce_with_logit, sigmoid};
-pub use lstm::{BatchScratch, BiBatchScratch, BiLstm, BiLstmCache, LstmCache, LstmCell};
+pub use lstm::{BiLstm, BiLstmCache, LstmCache, LstmCell};
 pub use persist::{load_weights, save_weights, PersistError};
-pub use store::{matvec, matvec_backward, ParamId, ParamStore};
+pub use store::{ParamId, ParamStore};

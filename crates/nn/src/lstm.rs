@@ -12,21 +12,13 @@
 //! The four gate blocks are packed into single `4h × d` matrices in order
 //! `[i, f, o, g]`.
 //!
-//! Two execution shapes share the parameters:
-//!
-//! * **Flat sequential** ([`LstmCell::forward_flat`] and
-//!   [`LstmCell::backward_flat`]): one sequence, all activations and BPTT
-//!   scratch in a reused [`LstmCache`] — zero allocations in steady state,
-//!   gate math through the fused `fonduer-tensor` kernels.
-//!   The reversed direction of a [`BiLstm`] runs over the *same* input
-//!   matrix with an index mapping; the old per-call
-//!   `xs.iter().rev().cloned()` copy is gone.
-//! * **Batched** ([`BiLstm::forward_batch`]): `B` same-length sequences
-//!   packed timestep-major into one `(T·B) × d` matrix, so each gate
-//!   pre-activation is a real GEMM (`Z_t = X_t Wᵀ + H_{t-1} Uᵀ`) instead of
-//!   `B` matrix–vector products. Row-for-row it runs the same dot kernel as
-//!   the sequential path, so batched and sequential hidden states are
-//!   equal, not merely close.
+//! One execution shape serves training, inference and the document-level
+//! RNN: [`LstmCell::forward_flat`] and [`LstmCell::backward_flat`] run one
+//! sequence, with all activations and BPTT scratch in a reused
+//! [`LstmCache`] — zero allocations in steady state, gate math through the
+//! fused `fonduer-tensor` kernels. The reversed direction of a [`BiLstm`]
+//! runs over the *same* input matrix with an index mapping instead of a
+//! reversed copy.
 //!
 //! The pre-rewrite scalar implementation is preserved in
 //! [`crate::reference`] and the two are held to 1e-5 parity in tests.
@@ -74,13 +66,6 @@ pub struct LstmCache {
     dh_next: Vec<f32>,
     /// Backward scratch: cell-state grad carried across steps (`h`).
     dc: Vec<f32>,
-}
-
-impl LstmCache {
-    /// Hidden states in processed order (`T × h`).
-    pub fn hs(&self) -> &Mat {
-        &self.hs
-    }
 }
 
 impl LstmCell {
@@ -217,86 +202,6 @@ impl LstmCell {
             tensor::add(dz, store.grad_mut(self.b));
         }
     }
-
-    /// Batched forward over `B` same-length sequences packed timestep-major
-    /// (`xs` row `t·B + b` is step `t` of sequence `b`). Hidden states land
-    /// in `hs` with the same layout, in original time order. Gate
-    /// pre-activations are computed as one GEMM per timestep.
-    pub fn forward_batch(
-        &self,
-        store: &ParamStore,
-        xs: &Mat,
-        batch: usize,
-        reversed: bool,
-        scratch: &mut BatchScratch,
-        hs: &mut Mat,
-    ) {
-        let h = self.d_h;
-        assert!(batch > 0, "empty batch");
-        assert_eq!(xs.rows() % batch, 0, "rows must be T·B");
-        let t_max = xs.rows() / batch;
-        hs.resize(xs.rows(), h);
-        scratch.gates.resize(batch, 4 * h);
-        scratch.c.resize(xs.rows(), h);
-        scratch.tanh_c.resize(batch, h);
-        scratch.zero.clear();
-        scratch.zero.resize(h, 0.0);
-        let w = store.p(self.w);
-        let u = store.p(self.u);
-        let bias = store.p(self.b);
-        let mut prev_src = 0usize;
-        for t in 0..t_max {
-            let src = if reversed { t_max - 1 - t } else { t };
-            // Z = X_t W^T (+ H_{t-1} U^T after the first step).
-            tensor::gemm_nt(
-                xs.rows_range(src * batch, (src + 1) * batch),
-                batch,
-                self.d_in,
-                w,
-                4 * h,
-                scratch.gates.as_mut_slice(),
-            );
-            if t > 0 {
-                tensor::gemm_nt_acc(
-                    hs.rows_range(prev_src * batch, (prev_src + 1) * batch),
-                    batch,
-                    h,
-                    u,
-                    4 * h,
-                    scratch.gates.as_mut_slice(),
-                );
-            }
-            for b in 0..batch {
-                let z = scratch.gates.row_mut(b);
-                tensor::lstm_gates(z, bias, h);
-                let (c_prev, c_t) = if t == 0 {
-                    (&scratch.zero[..], scratch.c.row_mut(src * batch + b))
-                } else {
-                    scratch
-                        .c
-                        .row_pair_mut(prev_src * batch + b, src * batch + b)
-                };
-                tensor::lstm_state(
-                    scratch.gates.row(b),
-                    c_prev,
-                    c_t,
-                    scratch.tanh_c.row_mut(b),
-                    hs.row_mut(src * batch + b),
-                );
-            }
-            prev_src = src;
-        }
-    }
-}
-
-/// Reusable workspace for [`LstmCell::forward_batch`] (inference only — no
-/// BPTT cache is kept).
-#[derive(Debug, Clone, Default)]
-pub struct BatchScratch {
-    gates: Mat,
-    c: Mat,
-    tanh_c: Mat,
-    zero: Vec<f32>,
 }
 
 /// Bidirectional LSTM: forward and backward cells whose hidden states are
@@ -314,15 +219,6 @@ pub struct BiLstm {
 pub struct BiLstmCache {
     fwd: LstmCache,
     bwd: LstmCache,
-}
-
-/// Reusable workspace for [`BiLstm::forward_batch`].
-#[derive(Debug, Clone, Default)]
-pub struct BiBatchScratch {
-    fwd: BatchScratch,
-    bwd: BatchScratch,
-    hf: Mat,
-    hb: Mat,
 }
 
 impl BiLstm {
@@ -375,90 +271,10 @@ impl BiLstm {
         self.bwd
             .backward_flat(store, &mut cache.bwd, dhs, self.fwd.d_h, dxs);
     }
-
-    /// Batched bidirectional forward over `B` same-length sequences packed
-    /// timestep-major; `hs_out` row `t·B + b` is the concatenated `2h`
-    /// hidden state of sequence `b` at step `t`.
-    pub fn forward_batch(
-        &self,
-        store: &ParamStore,
-        xs: &Mat,
-        batch: usize,
-        scratch: &mut BiBatchScratch,
-        hs_out: &mut Mat,
-    ) {
-        let h = self.fwd.d_h;
-        self.fwd
-            .forward_batch(store, xs, batch, false, &mut scratch.fwd, &mut scratch.hf);
-        self.bwd
-            .forward_batch(store, xs, batch, true, &mut scratch.bwd, &mut scratch.hb);
-        hs_out.resize(xs.rows(), 2 * h);
-        for r in 0..xs.rows() {
-            let row = hs_out.row_mut(r);
-            row[..h].copy_from_slice(scratch.hf.row(r));
-            row[h..].copy_from_slice(scratch.hb.row(r));
-        }
-    }
-}
-
-// --- Legacy `Vec<Vec<f32>>` wrappers (kept for in-crate callers/tests and
-// --- the document-RNN baseline; hot paths use the flat API above).
-
-impl LstmCell {
-    /// Run the cell over a sequence, returning hidden states and the cache.
-    pub fn forward_seq(&self, store: &ParamStore, xs: &[Vec<f32>]) -> (Vec<Vec<f32>>, LstmCache) {
-        let x = Mat::from_rows(xs);
-        let mut cache = LstmCache::default();
-        self.forward_flat(store, &x, false, &mut cache);
-        (cache.hs.to_rows(), cache)
-    }
-
-    /// BPTT: given `dL/dh_t` for every step, accumulate parameter grads and
-    /// return `dL/dx_t`.
-    pub fn backward_seq(
-        &self,
-        store: &mut ParamStore,
-        cache: &mut LstmCache,
-        dhs: &[Vec<f32>],
-    ) -> Vec<Vec<f32>> {
-        let dm = Mat::from_rows(dhs);
-        let mut dxs = Mat::zeros(dhs.len(), self.d_in);
-        self.backward_flat(store, cache, &dm, 0, &mut dxs);
-        dxs.to_rows()
-    }
-}
-
-impl BiLstm {
-    /// Forward over a sequence: concatenated hidden states per step.
-    pub fn forward_seq(&self, store: &ParamStore, xs: &[Vec<f32>]) -> (Vec<Vec<f32>>, BiLstmCache) {
-        let x = Mat::from_rows(xs);
-        let mut cache = BiLstmCache::default();
-        let mut hs = Mat::default();
-        self.forward_flat(store, &x, &mut cache, &mut hs);
-        (hs.to_rows(), cache)
-    }
-
-    /// Backward over the sequence given per-step grads of the concatenated
-    /// hidden states.
-    pub fn backward_seq(
-        &self,
-        store: &mut ParamStore,
-        cache: &mut BiLstmCache,
-        dhs: &[Vec<f32>],
-    ) -> Vec<Vec<f32>> {
-        let dm = Mat::from_rows(dhs);
-        let mut dxs = Mat::zeros(dhs.len(), self.fwd.d_in);
-        self.backward_flat(store, cache, &dm, &mut dxs);
-        dxs.to_rows()
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    // Index loops are the clearest form for the element-by-element
-    // batched-vs-sequential comparisons below.
-    #![allow(clippy::needless_range_loop)]
-
     use super::*;
     use crate::testutil::num_grad;
 
@@ -473,24 +289,58 @@ mod tests {
         (0..n).map(|_| (0..d).map(|_| unit()).collect()).collect()
     }
 
+    /// One cell forward over `xs` (`T × d_in`); the hidden states are the
+    /// cache's `hs`.
+    fn cell_forward(cell: &LstmCell, store: &ParamStore, xs: &Mat) -> LstmCache {
+        let mut cache = LstmCache::default();
+        cell.forward_flat(store, xs, false, &mut cache);
+        cache
+    }
+
+    /// BPTT of `dhs` through one cell, returning `dL/dx`.
+    fn cell_backward(
+        cell: &LstmCell,
+        store: &mut ParamStore,
+        cache: &mut LstmCache,
+        dhs: &Mat,
+    ) -> Mat {
+        let mut dxs = Mat::zeros(dhs.rows(), cell.d_in);
+        cell.backward_flat(store, cache, dhs, 0, &mut dxs);
+        dxs
+    }
+
+    /// Bidirectional forward over `xs`: the concatenated hidden states and
+    /// the cache.
+    fn bi_forward(bi: &BiLstm, store: &ParamStore, xs: &Mat) -> (Mat, BiLstmCache) {
+        let mut cache = BiLstmCache::default();
+        let mut hs = Mat::default();
+        bi.forward_flat(store, xs, &mut cache, &mut hs);
+        (hs, cache)
+    }
+
+    /// Sum of squares over a matrix, halved: the tests' loss, so that
+    /// `dL/dh = h`.
+    fn half_sq(m: &Mat) -> f32 {
+        m.as_slice().iter().map(|v| v * v).sum::<f32>() / 2.0
+    }
+
     /// Loss: sum of squares of all hidden states / 2.
-    fn seq_loss_lstm(cell: &LstmCell, store: &ParamStore, xs: &[Vec<f32>]) -> f32 {
-        let (hs, _) = cell.forward_seq(store, xs);
-        hs.iter().flatten().map(|v| v * v).sum::<f32>() / 2.0
+    fn seq_loss_lstm(cell: &LstmCell, store: &ParamStore, xs: &Mat) -> f32 {
+        half_sq(&cell_forward(cell, store, xs).hs)
     }
 
     #[test]
     fn lstm_shapes_and_determinism() {
         let mut s = ParamStore::new(5);
         let cell = LstmCell::new(&mut s, 3, 4);
-        let xs = seq(1, 6, 3);
-        let (hs, _) = cell.forward_seq(&s, &xs);
-        assert_eq!(hs.len(), 6);
-        assert_eq!(hs[0].len(), 4);
-        let (hs2, _) = cell.forward_seq(&s, &xs);
-        assert_eq!(hs, hs2);
+        let xs = Mat::from_rows(&seq(1, 6, 3));
+        let hs = cell_forward(&cell, &s, &xs).hs;
+        assert_eq!(hs.rows(), 6);
+        assert_eq!(hs.cols(), 4);
+        let hs2 = cell_forward(&cell, &s, &xs).hs;
+        assert_eq!(hs.as_slice(), hs2.as_slice());
         // Hidden states are bounded by construction.
-        assert!(hs.iter().flatten().all(|v| v.abs() <= 1.0));
+        assert!(hs.as_slice().iter().all(|v| v.abs() <= 1.0));
     }
 
     #[test]
@@ -498,16 +348,17 @@ mod tests {
         let mut s = ParamStore::new(11);
         let cell = LstmCell::new(&mut s, 3, 4);
         let xs = seq(6, 7, 3);
-        let (hs, mut cache) = cell.forward_seq(&s, &xs);
+        let mut cache = cell_forward(&cell, &s, &Mat::from_rows(&xs));
+        let hs = cache.hs.clone();
         let (hs_ref, cache_ref) = crate::reference::lstm_forward_seq(&cell, &s, &xs);
-        for (a, b) in hs.iter().flatten().zip(hs_ref.iter().flatten()) {
+        for (a, b) in hs.as_slice().iter().zip(hs_ref.iter().flatten()) {
             assert!((a - b).abs() < 1e-5, "forward: {a} vs {b}");
         }
         // Gradients too: same upstream grads through both paths.
         let mut s2 = s.clone();
         s.zero_grad();
         s2.zero_grad();
-        cell.backward_seq(&mut s, &mut cache, &hs);
+        cell_backward(&cell, &mut s, &mut cache, &hs);
         crate::reference::lstm_backward_seq(&cell, &mut s2, &cache_ref, &hs_ref);
         for (a, b) in s.g.iter().zip(&s2.g) {
             assert!((a - b).abs() < 1e-4, "grad: {a} vs {b}");
@@ -518,11 +369,11 @@ mod tests {
     fn lstm_gradcheck_weights() {
         let mut s = ParamStore::new(6);
         let cell = LstmCell::new(&mut s, 2, 3);
-        let xs = seq(2, 4, 2);
+        let xs = Mat::from_rows(&seq(2, 4, 2));
         s.zero_grad();
-        let (hs, mut cache) = cell.forward_seq(&s, &xs);
-        let dhs: Vec<Vec<f32>> = hs.clone();
-        cell.backward_seq(&mut s, &mut cache, &dhs);
+        let mut cache = cell_forward(&cell, &s, &xs);
+        let dhs = cache.hs.clone();
+        cell_backward(&cell, &mut s, &mut cache, &dhs);
         let loss = |st: &ParamStore| seq_loss_lstm(&cell, st, &xs);
         num_grad(&mut s, cell.w, loss, 0.05);
         num_grad(&mut s, cell.u, loss, 0.05);
@@ -533,23 +384,24 @@ mod tests {
     fn lstm_input_gradcheck() {
         let mut s = ParamStore::new(7);
         let cell = LstmCell::new(&mut s, 2, 3);
-        let xs = seq(3, 3, 2);
+        let xs = Mat::from_rows(&seq(3, 3, 2));
         s.zero_grad();
-        let (hs, mut cache) = cell.forward_seq(&s, &xs);
-        let dxs = cell.backward_seq(&mut s, &mut cache, &hs);
+        let mut cache = cell_forward(&cell, &s, &xs);
+        let dhs = cache.hs.clone();
+        let dxs = cell_backward(&cell, &mut s, &mut cache, &dhs);
         const EPS: f32 = 1e-2;
-        for t in 0..xs.len() {
+        for t in 0..xs.rows() {
             for k in 0..2 {
                 let mut xp = xs.clone();
-                xp[t][k] += EPS;
+                xp.row_mut(t)[k] += EPS;
                 let lp = seq_loss_lstm(&cell, &s, &xp);
-                xp[t][k] -= 2.0 * EPS;
+                xp.row_mut(t)[k] -= 2.0 * EPS;
                 let lm = seq_loss_lstm(&cell, &s, &xp);
                 let numeric = (lp - lm) / (2.0 * EPS);
                 assert!(
-                    (numeric - dxs[t][k]).abs() < 0.02,
+                    (numeric - dxs.row(t)[k]).abs() < 0.02,
                     "dx[{t}][{k}]: {numeric} vs {}",
-                    dxs[t][k]
+                    dxs.row(t)[k]
                 );
             }
         }
@@ -560,17 +412,14 @@ mod tests {
         let mut s = ParamStore::new(8);
         let bi = BiLstm::new(&mut s, 2, 3);
         let xs = seq(4, 5, 2);
-        let (hs, _) = bi.forward_seq(&s, &xs);
-        assert_eq!(hs.len(), 5);
-        assert_eq!(hs[0].len(), 6);
+        let (hs, _) = bi_forward(&bi, &s, &Mat::from_rows(&xs));
+        assert_eq!(hs.rows(), 5);
+        assert_eq!(hs.cols(), 6);
         assert_eq!(bi.d_out(), 6);
         let rev: Vec<Vec<f32>> = xs.iter().rev().cloned().collect();
-        let (hs_rev, _) = bi.forward_seq(&s, &rev);
-        let n = xs.len();
-        for t in 0..n {
-            assert!(hs_rev[t].iter().all(|v| v.abs() <= 1.0));
-            assert!(hs[t].iter().all(|v| v.abs() <= 1.0));
-        }
+        let (hs_rev, _) = bi_forward(&bi, &s, &Mat::from_rows(&rev));
+        assert!(hs_rev.as_slice().iter().all(|v| v.abs() <= 1.0));
+        assert!(hs.as_slice().iter().all(|v| v.abs() <= 1.0));
     }
 
     #[test]
@@ -578,20 +427,21 @@ mod tests {
         let mut s = ParamStore::new(12);
         let bi = BiLstm::new(&mut s, 3, 4);
         let xs = seq(9, 6, 3);
-        let (hs, mut cache) = bi.forward_seq(&s, &xs);
+        let (hs, mut cache) = bi_forward(&bi, &s, &Mat::from_rows(&xs));
         let (hs_ref, cache_ref) = crate::reference::bilstm_forward_seq(&bi, &s, &xs);
-        for (a, b) in hs.iter().flatten().zip(hs_ref.iter().flatten()) {
+        for (a, b) in hs.as_slice().iter().zip(hs_ref.iter().flatten()) {
             assert!((a - b).abs() < 1e-5, "forward: {a} vs {b}");
         }
         let mut s2 = s.clone();
         s.zero_grad();
         s2.zero_grad();
-        let dx = bi.backward_seq(&mut s, &mut cache, &hs);
+        let mut dx = Mat::zeros(xs.len(), 3);
+        bi.backward_flat(&mut s, &mut cache, &hs, &mut dx);
         let dx_ref = crate::reference::bilstm_backward_seq(&bi, &mut s2, &cache_ref, &hs_ref);
         for (a, b) in s.g.iter().zip(&s2.g) {
             assert!((a - b).abs() < 1e-4, "grad: {a} vs {b}");
         }
-        for (a, b) in dx.iter().flatten().zip(dx_ref.iter().flatten()) {
+        for (a, b) in dx.as_slice().iter().zip(dx_ref.iter().flatten()) {
             assert!((a - b).abs() < 1e-4, "dx: {a} vs {b}");
         }
     }
@@ -600,14 +450,12 @@ mod tests {
     fn bilstm_gradcheck() {
         let mut s = ParamStore::new(9);
         let bi = BiLstm::new(&mut s, 2, 2);
-        let xs = seq(5, 3, 2);
-        let loss = |st: &ParamStore| -> f32 {
-            let (hs, _) = bi.forward_seq(st, &xs);
-            hs.iter().flatten().map(|v| v * v).sum::<f32>() / 2.0
-        };
+        let xs = Mat::from_rows(&seq(5, 3, 2));
+        let loss = |st: &ParamStore| -> f32 { half_sq(&bi_forward(&bi, st, &xs).0) };
         s.zero_grad();
-        let (hs, mut cache) = bi.forward_seq(&s, &xs);
-        bi.backward_seq(&mut s, &mut cache, &hs);
+        let (hs, mut cache) = bi_forward(&bi, &s, &xs);
+        let mut dx = Mat::zeros(xs.rows(), 2);
+        bi.backward_flat(&mut s, &mut cache, &hs, &mut dx);
         num_grad(&mut s, bi.fwd.w, loss, 0.05);
         num_grad(&mut s, bi.bwd.w, loss, 0.05);
         num_grad(&mut s, bi.fwd.u, loss, 0.05);
@@ -615,104 +463,12 @@ mod tests {
     }
 
     #[test]
-    fn batched_forward_matches_sequential() {
-        let mut s = ParamStore::new(13);
-        let bi = BiLstm::new(&mut s, 3, 4);
-        // A bucket of 3 sequences of length 5, packed timestep-major.
-        let seqs: Vec<Vec<Vec<f32>>> = (0..3).map(|b| seq(20 + b, 5, 3)).collect();
-        let (t_max, batch) = (5usize, 3usize);
-        let mut xs = Mat::zeros(t_max * batch, 3);
-        for (b, sq) in seqs.iter().enumerate() {
-            for (t, x) in sq.iter().enumerate() {
-                xs.row_mut(t * batch + b).copy_from_slice(x);
-            }
-        }
-        let mut scratch = BiBatchScratch::default();
-        let mut hs_b = Mat::default();
-        bi.forward_batch(&s, &xs, batch, &mut scratch, &mut hs_b);
-        for (b, sq) in seqs.iter().enumerate() {
-            let (hs_s, _) = bi.forward_seq(&s, sq);
-            for t in 0..t_max {
-                for k in 0..bi.d_out() {
-                    let batched = hs_b.row(t * batch + b)[k];
-                    let sequential = hs_s[t][k];
-                    assert!(
-                        (batched - sequential).abs() < 1e-6,
-                        "seq {b} t {t} k {k}: {batched} vs {sequential}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn batched_forward_matches_sequential_over_ragged_buckets() {
-        // Ragged sequence lengths (1, 2, 3, 5, 8 — including repeats) are
-        // grouped into per-length buckets the way batched inference does;
-        // every bucket must reproduce the sequential hidden states.
-        let mut s = ParamStore::new(15);
-        let bi = BiLstm::new(&mut s, 3, 4);
-        let lens = [1usize, 2, 3, 3, 5, 5, 5, 8, 1, 2];
-        let seqs: Vec<Vec<Vec<f32>>> = lens
-            .iter()
-            .enumerate()
-            .map(|(i, &l)| seq(40 + i as u64, l, 3))
-            .collect();
-        let mut buckets: std::collections::BTreeMap<usize, Vec<usize>> =
-            std::collections::BTreeMap::new();
-        for (i, &l) in lens.iter().enumerate() {
-            buckets.entry(l).or_default().push(i);
-        }
-        let mut scratch = BiBatchScratch::default();
-        let mut hs_b = Mat::default();
-        let mut xs = Mat::default();
-        for (&len, members) in &buckets {
-            let batch = members.len();
-            xs.resize(len * batch, 3);
-            for (b, &si) in members.iter().enumerate() {
-                for (t, x) in seqs[si].iter().enumerate() {
-                    xs.row_mut(t * batch + b).copy_from_slice(x);
-                }
-            }
-            bi.forward_batch(&s, &xs, batch, &mut scratch, &mut hs_b);
-            for (b, &si) in members.iter().enumerate() {
-                let (hs_s, _) = bi.forward_seq(&s, &seqs[si]);
-                for t in 0..len {
-                    for k in 0..bi.d_out() {
-                        assert!(
-                            (hs_b.row(t * batch + b)[k] - hs_s[t][k]).abs() < 1e-6,
-                            "len {len} member {b} t {t} k {k}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn batched_forward_single_sequence_degenerates() {
-        let mut s = ParamStore::new(14);
-        let bi = BiLstm::new(&mut s, 2, 3);
-        let sq = seq(31, 4, 2);
-        let xs = Mat::from_rows(&sq);
-        let mut scratch = BiBatchScratch::default();
-        let mut hs_b = Mat::default();
-        bi.forward_batch(&s, &xs, 1, &mut scratch, &mut hs_b);
-        let (hs_s, _) = bi.forward_seq(&s, &sq);
-        for t in 0..sq.len() {
-            for k in 0..bi.d_out() {
-                assert!((hs_b.row(t)[k] - hs_s[t][k]).abs() < 1e-6);
-            }
-        }
-    }
-
-    #[test]
     fn empty_sequence() {
         let mut s = ParamStore::new(10);
         let cell = LstmCell::new(&mut s, 2, 3);
-        let (hs, mut cache) = cell.forward_seq(&s, &[]);
-        assert!(hs.is_empty());
-        let dxs = cell.backward_seq(&mut s, &mut cache, &[]);
+        let mut cache = cell_forward(&cell, &s, &Mat::zeros(0, 2));
+        assert!(cache.hs.is_empty());
+        let dxs = cell_backward(&cell, &mut s, &mut cache, &Mat::zeros(0, 3));
         assert!(dxs.is_empty());
     }
 }

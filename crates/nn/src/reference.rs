@@ -15,7 +15,7 @@
 //! measured against.
 
 use crate::attention::Attention;
-use crate::layers::Linear;
+use crate::layers::{Embedding, Linear};
 use crate::lstm::{BiLstm, LstmCell};
 use crate::store::ParamStore;
 
@@ -25,6 +25,27 @@ fn sigmoid(x: f32) -> f32 {
 
 fn dot(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
+}
+
+/// Backward through tanh given the *output* `y = tanh(x)`.
+fn tanh_backward(y: &[f32], dy: &[f32]) -> Vec<f32> {
+    y.iter().zip(dy).map(|(&t, &d)| d * (1.0 - t * t)).collect()
+}
+
+/// Scalar embedding lookup of one row (the flat path gathers a whole
+/// sequence with `Embedding::gather_rows`).
+pub fn embedding_forward(emb: &Embedding, store: &ParamStore, idx: usize) -> Vec<f32> {
+    debug_assert!(idx < emb.vocab);
+    store.p(emb.table)[idx * emb.dim..(idx + 1) * emb.dim].to_vec()
+}
+
+/// Accumulate the gradient of one looked-up row (the flat path is
+/// `Embedding::scatter_grad`).
+pub fn embedding_backward(emb: &Embedding, store: &mut ParamStore, idx: usize, dy: &[f32]) {
+    let g = &mut store.grad_mut(emb.table)[idx * emb.dim..(idx + 1) * emb.dim];
+    for (gi, d) in g.iter_mut().zip(dy) {
+        *gi += d;
+    }
 }
 
 /// Scalar `y = W x` (original `store::matvec`).
@@ -66,7 +87,7 @@ pub fn matvec_backward(
     }
 }
 
-/// Scalar `Linear::forward`.
+/// Scalar `Linear` forward (the flat path is `Linear::forward_into`).
 pub fn linear_forward(l: &Linear, store: &ParamStore, x: &[f32]) -> Vec<f32> {
     let mut y = vec![0.0; l.d_out];
     matvec(store.p(l.w), l.d_out, l.d_in, x, &mut y);
@@ -76,7 +97,8 @@ pub fn linear_forward(l: &Linear, store: &ParamStore, x: &[f32]) -> Vec<f32> {
     y
 }
 
-/// Scalar `Linear::backward` (copies the weights, as the original did).
+/// Scalar `Linear` backward, returning `dL/dx` (copies the weights, as the
+/// original did; the flat path is `Linear::backward_acc`).
 pub fn linear_backward(l: &Linear, store: &mut ParamStore, x: &[f32], dy: &[f32]) -> Vec<f32> {
     let mut dx = vec![0.0; l.d_in];
     {
@@ -109,7 +131,8 @@ pub struct LstmCache {
     steps: Vec<StepCache>,
 }
 
-/// Scalar `LstmCell::forward_seq`: per-step `Vec` allocations, `std`
+/// Scalar `LstmCell` forward over one sequence (the flat path is
+/// `LstmCell::forward_flat`): per-step `Vec` allocations, `std`
 /// sigmoid/tanh.
 pub fn lstm_forward_seq(
     cell: &LstmCell,
@@ -164,7 +187,8 @@ pub fn lstm_forward_seq(
     (hs, cache)
 }
 
-/// Scalar `LstmCell::backward_seq` (BPTT with weight-value copies).
+/// Scalar `LstmCell` BPTT with weight-value copies (the flat path is
+/// `LstmCell::backward_flat`).
 pub fn lstm_backward_seq(
     cell: &LstmCell,
     store: &mut ParamStore,
@@ -229,7 +253,7 @@ pub struct BiLstmCache {
     bwd: LstmCache,
 }
 
-/// Scalar `BiLstm::forward_seq` — including the reversed input copy the
+/// Scalar `BiLstm` forward — including the reversed input copy the
 /// flat path eliminates.
 pub fn bilstm_forward_seq(
     bi: &BiLstm,
@@ -249,7 +273,7 @@ pub fn bilstm_forward_seq(
     (hs, BiLstmCache { fwd: cf, bwd: cb })
 }
 
-/// Scalar `BiLstm::backward_seq`.
+/// Scalar `BiLstm` backward.
 pub fn bilstm_backward_seq(
     bi: &BiLstm,
     store: &mut ParamStore,
@@ -279,7 +303,7 @@ pub struct AttentionCache {
     alphas: Vec<f32>,
 }
 
-/// Scalar `Attention::forward`.
+/// Scalar `Attention` forward (the flat path is `Attention::forward_flat`).
 pub fn attention_forward(
     att: &Attention,
     store: &ParamStore,
@@ -322,7 +346,8 @@ pub fn attention_forward(
     )
 }
 
-/// Scalar `Attention::backward`.
+/// Scalar `Attention` backward (the flat path is
+/// `Attention::backward_flat`).
 #[allow(clippy::needless_range_loop)]
 pub fn attention_backward(
     att: &Attention,
@@ -352,7 +377,7 @@ pub fn attention_backward(
         for (acc, u) in d_uw.iter_mut().zip(&cache.us[j]) {
             *acc += ds[j] * u;
         }
-        du = crate::layers::tanh_backward(&cache.us[j], &du);
+        du = tanh_backward(&cache.us[j], &du);
         let dh = linear_backward(&att.proj, store, &cache.hs[j], &du);
         dhs.push(dh);
     }

@@ -236,27 +236,6 @@ impl ParamStore {
     }
 }
 
-/// Matrix–vector product `y = W x` for a `rows × cols` parameter block
-/// (delegates to the unrolled `fonduer-tensor` kernel).
-pub fn matvec(w: &[f32], rows: usize, cols: usize, x: &[f32], y: &mut [f32]) {
-    fonduer_tensor::gemv(w, rows, cols, x, y);
-}
-
-/// Accumulate `W^T dy` into `dx` and the outer product `dy x^T` into `dw`.
-pub fn matvec_backward(
-    w: &[f32],
-    rows: usize,
-    cols: usize,
-    x: &[f32],
-    dy: &[f32],
-    dw: &mut [f32],
-    dx: &mut [f32],
-) {
-    debug_assert_eq!(w.len(), rows * cols);
-    fonduer_tensor::outer_acc(dy, x, dw);
-    fonduer_tensor::gemv_t_acc(w, rows, cols, dy, dx);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,29 +265,6 @@ mod tests {
         let mut c = ParamStore::new(8);
         c.alloc(5, 5);
         assert_ne!(a.w, c.w);
-    }
-
-    #[test]
-    fn matvec_correct() {
-        // W = [[1,2],[3,4]], x = [5,6] → y = [17, 39]
-        let w = [1.0, 2.0, 3.0, 4.0];
-        let x = [5.0, 6.0];
-        let mut y = [0.0; 2];
-        matvec(&w, 2, 2, &x, &mut y);
-        assert_eq!(y, [17.0, 39.0]);
-    }
-
-    #[test]
-    fn matvec_backward_correct() {
-        let w = [1.0, 2.0, 3.0, 4.0];
-        let x = [5.0, 6.0];
-        let dy = [1.0, 0.5];
-        let mut dw = [0.0; 4];
-        let mut dx = [0.0; 2];
-        matvec_backward(&w, 2, 2, &x, &dy, &mut dw, &mut dx);
-        // dW = dy x^T = [[5,6],[2.5,3]]; dx = W^T dy = [1+1.5, 2+2]
-        assert_eq!(dw, [5.0, 6.0, 2.5, 3.0]);
-        assert_eq!(dx, [2.5, 4.0]);
     }
 
     #[test]

@@ -64,7 +64,6 @@ mod avx2 {
         fn gemv_t_acc_body(w: &[f32], rows: usize, cols: usize, dy: &[f32], dx: &mut [f32]);
         fn outer_acc_body(dy: &[f32], x: &[f32], dw: &mut [f32]);
         fn gemm_nt_body(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, c: &mut [f32]);
-        fn gemm_nt_acc_body(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, c: &mut [f32]);
         fn gemm_nn_acc_body(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, c: &mut [f32]);
         fn gemm_tn_acc_body(a: &[f32], k: usize, m: usize, b: &[f32], n: usize, c: &mut [f32]);
         fn lstm_gates_body(z: &mut [f32], bias: &[f32], h: usize);
@@ -452,32 +451,14 @@ fn gemm_nt_body(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, c: &mut [f32
 }
 
 /// `C = A B^T`: `A` is `m × k`, `B` is `n × k`, `C` is `m × n`, all
-/// row-major — both inputs are walked along their contiguous axis, which
-/// is what makes this the natural GEMM for batched LSTM gates
-/// (`Z = X W^T`, with `W` stored `4h × d` exactly as [`gemv`] uses it).
+/// row-major — both inputs are walked along their contiguous axis, so
+/// attention projects all of a sequence's hidden states in one call
+/// (`U = H W^T`, with `W` stored `d_attn × d` exactly as [`gemv`] uses it).
+/// Each output is one `dot` over a row of `A` and a row of `B`, the same
+/// products in the same order as [`gemv`] computes them.
 pub fn gemm_nt(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, c: &mut [f32]) {
     stats::count_gemm();
     dispatch!(gemm_nt_body(a, m, k, b, n, c))
-}
-
-#[inline(always)]
-fn gemm_nt_acc_body(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, c: &mut [f32]) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), n * k);
-    debug_assert_eq!(c.len(), m * n);
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        let crow = &mut c[i * n..(i + 1) * n];
-        for (j, cj) in crow.iter_mut().enumerate() {
-            *cj += dot_body(arow, &b[j * k..(j + 1) * k]);
-        }
-    }
-}
-
-/// `C += A B^T` (same shapes as [`gemm_nt`]).
-pub fn gemm_nt_acc(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, c: &mut [f32]) {
-    stats::count_gemm();
-    dispatch!(gemm_nt_acc_body(a, m, k, b, n, c))
 }
 
 #[inline(always)]

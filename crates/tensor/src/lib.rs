@@ -43,9 +43,9 @@ pub mod sparse;
 
 pub use kernels::{
     adam_step, adam_step_consume, adam_step_consume_ftz, add, axpy, dot, fast_exp, fast_sigmoid,
-    fast_tanh, gemm_nn_acc, gemm_nt, gemm_nt_acc, gemm_tn_acc, gemv, gemv_acc, gemv_t_acc,
-    lstm_backward_gates, lstm_gates, lstm_state, outer_acc, sigmoid_slice, softmax_inplace, sq_sum,
-    sq_sum_ftz, tanh_slice,
+    fast_tanh, gemm_nn_acc, gemm_nt, gemm_tn_acc, gemv, gemv_acc, gemv_t_acc, lstm_backward_gates,
+    lstm_gates, lstm_state, outer_acc, sigmoid_slice, softmax_inplace, sq_sum, sq_sum_ftz,
+    tanh_slice,
 };
 pub use mat::Mat;
 pub use simd::simd_level;

@@ -12,31 +12,8 @@
 //! multiplies the count by the token count, far beyond any headroom).
 
 use fonduer::prelude::*;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
 
 /// Fixed synthetic datasheet: one heading, prose, and a ratings table —
 /// the document shape the ingest path is optimized for.
@@ -82,13 +59,13 @@ fn parse_nlp_stays_under_allocation_budget() {
         assert!(d.word_count() > 80);
     }
     const RUNS: u64 = 10;
-    let start = ALLOCS.load(Relaxed);
+    let start = counting_alloc::calls();
     for i in 0..RUNS {
         let name = if i % 2 == 0 { "even" } else { "odd" };
         let d = parse_document(name, DOC, DocFormat::Pdf, &ParseOptions::default());
         assert!(!d.sentences.is_empty());
     }
-    let per_doc = (ALLOCS.load(Relaxed) - start) / RUNS;
+    let per_doc = (counting_alloc::calls() - start) / RUNS;
     eprintln!("ingest allocations/doc = {per_doc} (budget {BUDGET_ALLOCS_PER_DOC})");
     assert!(
         per_doc <= BUDGET_ALLOCS_PER_DOC,

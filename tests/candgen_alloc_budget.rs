@@ -15,31 +15,8 @@
 
 use fonduer::core::domains::paleo;
 use fonduer::prelude::*;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
 
 const N_DOCS: usize = 8;
 const SEED: u64 = 13;
@@ -58,9 +35,9 @@ fn document_scope_extraction_stays_under_allocation_budget() {
         let ex = paleo::extractor(&ds, rel, ContextScope::Document);
         // Warm up lazy one-time state (counter registrations, span names).
         let warm = ex.extract(&ds.corpus);
-        let start = ALLOCS.load(Relaxed);
+        let start = counting_alloc::calls();
         let cands = ex.extract(&ds.corpus);
-        let per_doc = (ALLOCS.load(Relaxed) - start) / N_DOCS as u64;
+        let per_doc = (counting_alloc::calls() - start) / N_DOCS as u64;
         assert_eq!(cands.candidates, warm.candidates);
         assert!(
             !cands.is_empty(),

@@ -16,36 +16,8 @@ use fonduer::core::domains::electronics;
 use fonduer::prelude::*;
 use fonduer_core::PipelineSession;
 use fonduer_datamodel::DocId;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-
-struct CountingAlloc;
-
-static CALLS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every method forwards its arguments unchanged to `System`, so
-// `System`'s guarantees hold; the counters are independent atomics.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        CALLS.fetch_add(1, Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        CALLS.fetch_add(1, Relaxed);
-        BYTES.fetch_add(new_size as u64, Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
 
 const N_DOCS: usize = 64;
 const SEED: u64 = 7;
@@ -81,10 +53,10 @@ fn first_upsert_allocates_per_document_not_per_token() {
         .doc(DocId::from_usize(5))
         .clone();
 
-    let (calls0, bytes0) = (CALLS.load(Relaxed), BYTES.load(Relaxed));
+    let (calls0, bytes0) = (counting_alloc::calls(), counting_alloc::bytes());
     let id = session.upsert_document(revised).expect("name is unique");
-    let calls = CALLS.load(Relaxed) - calls0;
-    let bytes = BYTES.load(Relaxed) - bytes0;
+    let calls = counting_alloc::calls() - calls0;
+    let bytes = counting_alloc::bytes() - bytes0;
 
     assert_eq!(id, DocId::from_usize(5), "same name replaces in place");
     let n = N_DOCS as u64;

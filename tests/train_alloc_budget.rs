@@ -17,31 +17,8 @@
 //! not on the number of steps.
 
 use fonduer::learning::{CandidateInput, FonduerModel, ModelConfig, ProbClassifier};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
 
 const VOCAB: u32 = 64;
 const N_FEATURES: usize = 16;
@@ -82,9 +59,9 @@ fn model() -> FonduerModel {
 /// Allocations made by one `fit` of a fresh model.
 fn fit_allocs(inputs: &[CandidateInput], targets: &[f32]) -> u64 {
     let mut m = model();
-    let before = ALLOCS.load(Relaxed);
+    let before = counting_alloc::calls();
     m.fit(inputs, targets);
-    let n = ALLOCS.load(Relaxed) - before;
+    let n = counting_alloc::calls() - before;
     assert!(m.predict_one(&inputs[0]).is_finite());
     n
 }
