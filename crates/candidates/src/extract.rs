@@ -2,7 +2,7 @@
 //! (paper §3.2 Phase 2, §4.1).
 
 use crate::candidate::{Candidate, CandidateSet, RelationSchema};
-use crate::matcher::{extract_mentions, MentionType};
+use crate::matcher::MentionType;
 use crate::scope::ContextScope;
 use crate::throttler::Throttler;
 use fonduer_datamodel::{Corpus, DocId, Document, Span};
@@ -51,10 +51,7 @@ impl CandidateExtractor {
 
     /// Extract mentions of every type from one document.
     pub fn mentions_in(&self, doc: &Document) -> Vec<Vec<Span>> {
-        self.types
-            .iter()
-            .map(|t| extract_mentions(doc, t))
-            .collect()
+        self.types.iter().map(|t| t.matcher.mentions(doc)).collect()
     }
 
     /// `"<type>:<matcher kind>"` per schema argument, in order — the

@@ -3,9 +3,15 @@
 //! Candidate generation for Fonduer (paper §3.2 Phase 2, §4.1): users
 //! declare *matchers* describing what each mention type looks like and
 //! optional *throttlers* that prune the combinatorial cross-product of
-//! document-level mention tuples; the extractor walks the data model's
-//! leaves, applies matchers, forms scoped n-ary candidates, and filters
-//! them.
+//! document-level mention tuples; the extractor asks each matcher for a
+//! document's mentions, forms scoped n-ary candidates, and filters them.
+//!
+//! A document is a matcher's unit of work: [`Matcher::mentions`] scans
+//! every sentence of one document, greedily taking the longest accepted
+//! span at each start position. Its default needs only
+//! [`Matcher::matches`]. [`DictionaryMatcher`] overrides it to check each
+//! distinct word of the document once, remembering by word symbol whether
+//! the word begins an entry, so repeated words cost a byte load each.
 //!
 //! The [`ContextScope`] type captures both the cumulative scope sweep of
 //! Figure 6 (sentence → table → page → document) and the strict scopes the
@@ -22,8 +28,7 @@ pub mod throttler;
 pub use candidate::{Candidate, CandidateSet, RelationSchema};
 pub use extract::CandidateExtractor;
 pub use matcher::{
-    extract_mentions, DictionaryMatcher, FnMatcher, Matcher, MentionType, NumberRangeMatcher,
-    UnionMatcher,
+    DictionaryMatcher, FnMatcher, Matcher, MentionType, NumberRangeMatcher, UnionMatcher,
 };
 pub use scope::ContextScope;
 pub use throttler::{

@@ -7,7 +7,7 @@
 //! In the paper matchers are Python functions; here they are trait objects
 //! (closures wrap via [`FnMatcher`]).
 
-use fonduer_datamodel::{Document, SentenceId, Span};
+use fonduer_datamodel::{Document, Sentence, SentenceId, Span};
 use std::collections::BTreeSet;
 
 /// Predicate deciding whether a span is a mention of some type.
@@ -21,23 +21,29 @@ pub trait Matcher: Send + Sync {
         1
     }
 
-    /// The longest span starting at token `start` of `sentence` that this
-    /// matcher accepts, among spans of at most
-    /// [`max_tokens`](Matcher::max_tokens) tokens. [`extract_mentions`]
-    /// asks once per start position.
+    /// Every mention of this matcher in `doc`, in document order (the
+    /// paper's "applying matchers to each leaf of the data model").
     ///
-    /// The default tries each end, longest first, through
-    /// [`matches`](Matcher::matches), so a custom matcher needs only
-    /// `matches`. A matcher that can rule out a start position without
-    /// probing every span ([`DictionaryMatcher`]) overrides this; an
-    /// override must return exactly what the default would.
-    fn longest_match(&self, doc: &Document, sentence: SentenceId, start: u32) -> Option<Span> {
-        let n = doc.sentence(sentence).len();
-        let upper = (start as usize + self.max_tokens().max(1)).min(n) as u32;
-        (start + 1..=upper)
-            .rev()
-            .map(|end| Span::new(sentence, start, end))
-            .find(|&span| self.matches(doc, span))
+    /// Matching is greedy maximal-munch within each sentence: at each start
+    /// position the longest span of at most
+    /// [`max_tokens`](Matcher::max_tokens) tokens that
+    /// [`matches`](Matcher::matches) accepts is a mention, and the scan
+    /// resumes after it, so overlapped shorter starts are skipped.
+    ///
+    /// The default tries each end, longest first, through `matches`, so a
+    /// custom matcher needs only `matches`. A matcher that can rule out
+    /// start positions without probing every span ([`DictionaryMatcher`])
+    /// overrides this; an override must return exactly what the default
+    /// would.
+    fn mentions(&self, doc: &Document) -> Vec<Span> {
+        let max = self.max_tokens().max(1);
+        greedy_walk(doc, |sid, sentence, start| {
+            let upper = (start as usize + max).min(sentence.len()) as u32;
+            (start + 1..=upper)
+                .rev()
+                .map(|end| Span::new(sid, start, end))
+                .find(|&span| self.matches(doc, span))
+        })
     }
 
     /// Short matcher-kind descriptor used by provenance records
@@ -102,10 +108,13 @@ impl std::fmt::Debug for MentionType {
 /// ([`Span::normalized_text`]). Extraction is greedy: the longest match at
 /// a start position wins.
 ///
-/// Entries are indexed by their first token, so a start position whose
-/// lowercased first word begins no entry costs one hash probe and no
-/// allocation; only the entries sharing that first token's bucket are
-/// compared against the following words.
+/// Entries are indexed by their first token; only the entries sharing a
+/// word's bucket are compared against the following words. [`mentions`]
+/// probes the index once per distinct word of the document and remembers
+/// the answer by word symbol, so a start position whose word begins no
+/// entry costs one byte load and no allocation.
+///
+/// [`mentions`]: Matcher::mentions
 pub struct DictionaryMatcher {
     /// Normalized entries, sorted and deduplicated.
     entries: Vec<String>,
@@ -180,6 +189,25 @@ impl DictionaryMatcher {
             .filter(move |&&(eh, _)| eh == h)
             .map(|&(_, i)| self.entries[i as usize].as_str())
     }
+
+    /// The longest span starting at token `start` of `sentence` that this
+    /// dictionary accepts, among spans of at most
+    /// [`max_tokens`](Matcher::max_tokens) tokens: what the default
+    /// [`Matcher::mentions`] walk would find at that start.
+    pub fn longest_match(&self, doc: &Document, sentence: SentenceId, start: u32) -> Option<Span> {
+        let n = doc.sentence(sentence).len();
+        if start as usize >= n {
+            return None;
+        }
+        let upper = (start as usize + self.max_tokens).min(n) as u32;
+        let window = Span::new(sentence, start, upper);
+        let first = window.words(doc).next()?;
+        // Entries come longest first, and a longer entry takes more words to
+        // spell, so the first entry the window spells is the longest match.
+        self.entries_starting(first)
+            .find_map(|e| spelled_by(e, window.words(doc)))
+            .map(|len| Span::new(sentence, start, start + len as u32))
+    }
 }
 
 /// FNV-1a of `text` up to its first space, with ASCII letters lowercased.
@@ -234,19 +262,24 @@ impl Matcher for DictionaryMatcher {
             .any(|e| spelled_by(e, span.words(doc)) == Some(span.len()))
     }
 
-    fn longest_match(&self, doc: &Document, sentence: SentenceId, start: u32) -> Option<Span> {
-        let n = doc.sentence(sentence).len();
-        if start as usize >= n {
-            return None;
-        }
-        let upper = (start as usize + self.max_tokens).min(n) as u32;
-        let window = Span::new(sentence, start, upper);
-        let first = window.words(doc).next()?;
-        // Entries come longest first, and a longer entry takes more words to
-        // spell, so the first entry the window spells is the longest match.
-        self.entries_starting(first)
-            .find_map(|e| spelled_by(e, window.words(doc)))
-            .map(|len| Span::new(sentence, start, start + len as u32))
+    fn mentions(&self, doc: &Document) -> Vec<Span> {
+        // Whether each word symbol begins an entry: 0 not yet asked, 1 no,
+        // 2 yes. Symbol ids are per document, so the memo lives for this
+        // call only.
+        let mut begins = vec![0u8; doc.symbols.len()];
+        greedy_walk(doc, |sid, sentence, start| {
+            let word = doc.tok_words[sentence.tok_start as usize + start as usize];
+            let memo = &mut begins[word as usize];
+            if *memo == 0 {
+                let first = doc.symbols.resolve(word);
+                *memo = 1 + u8::from(self.entries_starting(first).next().is_some());
+            }
+            if *memo == 1 {
+                None
+            } else {
+                self.longest_match(doc, sid, start)
+            }
+        })
     }
 
     fn max_tokens(&self) -> usize {
@@ -380,20 +413,21 @@ impl Matcher for UnionMatcher {
     }
 }
 
-/// Extract all mentions of one type from a document by applying the matcher
-/// to every span of up to `matcher.max_tokens()` tokens in every sentence
-/// (the paper's "applying matchers to each leaf of the data model").
-///
-/// Matching is greedy maximal-munch: at each start position the longest
-/// matching span wins ([`Matcher::longest_match`]), and overlapped shorter
-/// starts are skipped. Mentions are returned in document order.
-pub fn extract_mentions(doc: &Document, ty: &MentionType) -> Vec<Span> {
+/// The greedy maximal-munch scan every [`Matcher::mentions`] shares: in
+/// each sentence, `longest(id, sentence, start)` names the longest mention
+/// starting at token `start`, if any; the scan keeps it and resumes after
+/// its end. Mentions come out in document order.
+fn greedy_walk(
+    doc: &Document,
+    mut longest: impl FnMut(SentenceId, &Sentence, u32) -> Option<Span>,
+) -> Vec<Span> {
     let mut out = Vec::new();
-    for sid in doc.sentence_ids() {
-        let n = doc.sentence(sid).len() as u32;
+    for (i, sentence) in doc.sentences.iter().enumerate() {
+        let sid = SentenceId::from_usize(i);
+        let n = sentence.len() as u32;
         let mut start = 0;
         while start < n {
-            match ty.matcher.longest_match(doc, sid, start) {
+            match longest(sid, sentence, start) {
                 Some(span) => {
                     debug_assert!(span.sentence == sid && span.start == start && span.end <= n);
                     out.push(span);
@@ -428,7 +462,7 @@ mod tests {
             "part",
             Box::new(DictionaryMatcher::new(["SMBT3904", "BC547"])),
         );
-        let m = extract_mentions(&d, &ty);
+        let m = ty.matcher.mentions(&d);
         assert_eq!(m.len(), 1);
         assert_eq!(m[0].text(&d), "SMBT3904");
     }
@@ -440,7 +474,7 @@ mod tests {
             "taxon",
             Box::new(DictionaryMatcher::new(["Tyrannosaurus rex", "rex"])),
         );
-        let m = extract_mentions(&d, &ty);
+        let m = ty.matcher.mentions(&d);
         // Maximal match wins; the inner "rex" is not separately extracted.
         assert_eq!(m.len(), 1);
         assert_eq!(m[0].text(&d), "Tyrannosaurus rex");
@@ -450,7 +484,7 @@ mod tests {
     fn number_range() {
         let d = doc_with("values 50 200 995 1000 and 200.5");
         let ty = MentionType::new("cur", Box::new(NumberRangeMatcher::new(100.0, 995.0)));
-        let m = extract_mentions(&d, &ty);
+        let m = ty.matcher.mentions(&d);
         let texts: Vec<String> = m.iter().map(|s| s.text(&d)).collect();
         assert_eq!(texts, vec!["200", "995", "200.5"]);
     }
@@ -460,7 +494,7 @@ mod tests {
         // "SMBT3904" contains digits but is a CODE token, not a NUMBER.
         let d = doc_with("SMBT3904");
         let ty = MentionType::new("cur", Box::new(NumberRangeMatcher::new(0.0, 1e9)));
-        assert!(extract_mentions(&d, &ty).is_empty());
+        assert!(ty.matcher.mentions(&d).is_empty());
     }
 
     #[test]
@@ -478,8 +512,8 @@ mod tests {
                 })),
             )
         };
-        assert_eq!(extract_mentions(&d1, &mk()).len(), 1);
-        assert!(extract_mentions(&d2, &mk()).is_empty());
+        assert_eq!(mk().matcher.mentions(&d1).len(), 1);
+        assert!(mk().matcher.mentions(&d2).is_empty());
     }
 
     #[test]
@@ -490,7 +524,7 @@ mod tests {
             Box::new(NumberRangeMatcher::new(100.0, 995.0)),
         ]);
         let ty = MentionType::new("any", Box::new(u));
-        assert_eq!(extract_mentions(&d, &ty).len(), 2);
+        assert_eq!(ty.matcher.mentions(&d).len(), 2);
     }
 
     #[test]
@@ -529,6 +563,6 @@ mod tests {
         let dict = DictionaryMatcher::new(Vec::<String>::new());
         assert!(dict.is_empty());
         let ty = MentionType::new("none", Box::new(dict));
-        assert!(extract_mentions(&d, &ty).is_empty());
+        assert!(ty.matcher.mentions(&d).is_empty());
     }
 }

@@ -13,8 +13,9 @@
 //! * [`tag`] — POS tagger, lemmatizer, entity-style tagger;
 //! * [`ngram`] — n-gram helpers used by matchers and labeling functions;
 //! * [`vocab`] — hashed vocabulary backing trainable word embeddings;
-//! * [`preprocess`] — fused split→tokenize→tag pass writing the document
-//!   arena directly, plus the allocating `SentenceData` compatibility path.
+//! * [`preprocess`](mod@preprocess) — fused split→tokenize→tag pass
+//!   writing the document arena directly, plus the allocating
+//!   `SentenceData` compatibility path.
 //!
 //! The tokenizer and the sentence splitter scan bytes with plain loops over
 //! one private byte-class table: no `unsafe`, no vector path and no

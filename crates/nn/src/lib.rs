@@ -19,8 +19,9 @@
 //! attention, `forward_into`/`backward_acc` on [`Linear`],
 //! `gather_rows`/`scatter_grad` on [`Embedding`] — and it serves training,
 //! inference and the document-level RNN alike. The original
-//! `Vec<Vec<f32>>` scalar formulation is frozen in [`reference`] and every
-//! flat path is tested to 1e-5 parity against it.
+//! `Vec<Vec<f32>>` scalar formulation is frozen in
+//! [`reference`](mod@reference) and every flat path is tested to 1e-5
+//! parity against it.
 
 #![warn(missing_docs)]
 

@@ -5,7 +5,7 @@
 //! and tabular information, we use tools such as Poppler to convert an input
 //! file into HTML format". The synthetic corpora and any user-supplied HTML
 //! or XML enter the data model through this module; visual attributes are
-//! attached afterwards by the [`crate::layout`] engine.
+//! attached afterwards by the [`crate::layout`](mod@crate::layout) engine.
 
 use crate::markup::{parse, Element, Node};
 use fonduer_datamodel::{

@@ -6,10 +6,11 @@
 //! printer conversion pipeline, §3.1).
 //!
 //! * [`markup`] — tolerant HTML/XML tree parser;
-//! * [`ingest`] — markup tree → [`fonduer_datamodel::Document`], including
-//!   table grids with spanning cells and structural attributes;
-//! * [`layout`] — renders documents to pages/bounding boxes, with optional
-//!   simulated conversion noise;
+//! * [`ingest`](mod@ingest) — markup tree →
+//!   [`fonduer_datamodel::Document`], including table grids with spanning
+//!   cells and structural attributes;
+//! * [`layout`](mod@layout) — renders documents to pages/bounding boxes,
+//!   with optional simulated conversion noise;
 //! * [`align`] — word-sequence alignment across converted formats.
 //!
 //! ```

@@ -64,8 +64,6 @@ mod avx2 {
         fn gemv_t_acc_body(w: &[f32], rows: usize, cols: usize, dy: &[f32], dx: &mut [f32]);
         fn outer_acc_body(dy: &[f32], x: &[f32], dw: &mut [f32]);
         fn gemm_nt_body(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, c: &mut [f32]);
-        fn gemm_nn_acc_body(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, c: &mut [f32]);
-        fn gemm_tn_acc_body(a: &[f32], k: usize, m: usize, b: &[f32], n: usize, c: &mut [f32]);
         fn lstm_gates_body(z: &mut [f32], bias: &[f32], h: usize);
         fn lstm_state_body(
             gates: &[f32],
@@ -459,52 +457,6 @@ fn gemm_nt_body(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, c: &mut [f32
 pub fn gemm_nt(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, c: &mut [f32]) {
     stats::count_gemm();
     dispatch!(gemm_nt_body(a, m, k, b, n, c))
-}
-
-#[inline(always)]
-fn gemm_nn_acc_body(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, c: &mut [f32]) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), m * n);
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        let crow = &mut c[i * n..(i + 1) * n];
-        for (l, &al) in arow.iter().enumerate() {
-            if al != 0.0 {
-                axpy_body(al, &b[l * n..(l + 1) * n], crow);
-            }
-        }
-    }
-}
-
-/// `C += A B`: `A` is `m × k`, `B` is `k × n`, `C` is `m × n`. Expressed
-/// as axpys over `B`'s rows so every inner loop is contiguous.
-pub fn gemm_nn_acc(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, c: &mut [f32]) {
-    stats::count_gemm();
-    dispatch!(gemm_nn_acc_body(a, m, k, b, n, c))
-}
-
-#[inline(always)]
-fn gemm_tn_acc_body(a: &[f32], k: usize, m: usize, b: &[f32], n: usize, c: &mut [f32]) {
-    debug_assert_eq!(a.len(), k * m);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), m * n);
-    for l in 0..k {
-        let arow = &a[l * m..(l + 1) * m];
-        let brow = &b[l * n..(l + 1) * n];
-        for (i, &ai) in arow.iter().enumerate() {
-            if ai != 0.0 {
-                axpy_body(ai, brow, &mut c[i * n..(i + 1) * n]);
-            }
-        }
-    }
-}
-
-/// `C += A^T B`: `A` is `k × m`, `B` is `k × n`, `C` is `m × n`. The
-/// batched-LSTM weight-gradient product `dW += dZ^T X` lands here.
-pub fn gemm_tn_acc(a: &[f32], k: usize, m: usize, b: &[f32], n: usize, c: &mut [f32]) {
-    stats::count_gemm();
-    dispatch!(gemm_tn_acc_body(a, k, m, b, n, c))
 }
 
 // ---------------------------------------------------------------------------

@@ -24,10 +24,11 @@
 //!   Rust code must never run with the float mode changed. Reductions
 //!   reassociate into eight explicit accumulator lanes; elementwise
 //!   sweeps are branch-free.
-//! * **Scalar ground truth ships with the crate.** [`reference`] holds the
-//!   naive single-accumulator formulations the fast paths are
-//!   property-tested against; parity is asserted to 1e-5 everywhere the
-//!   `nn`/`learning` crates consume these kernels.
+//! * **Scalar ground truth ships with the crate.**
+//!   [`reference`](mod@reference) holds the naive single-accumulator
+//!   formulations the fast paths are property-tested against; parity is
+//!   asserted to 1e-5 everywhere the `nn`/`learning` crates consume these
+//!   kernels.
 //! * **Countable.** [`stats`] keeps process-wide relaxed call counters for
 //!   gemv/gemm/sparse_dot so the learning stage can export per-epoch
 //!   kernel-call telemetry without a dependency edge back to
@@ -43,9 +44,8 @@ pub mod sparse;
 
 pub use kernels::{
     adam_step, adam_step_consume, adam_step_consume_ftz, add, axpy, dot, fast_exp, fast_sigmoid,
-    fast_tanh, gemm_nn_acc, gemm_nt, gemm_tn_acc, gemv, gemv_acc, gemv_t_acc, lstm_backward_gates,
-    lstm_gates, lstm_state, outer_acc, sigmoid_slice, softmax_inplace, sq_sum, sq_sum_ftz,
-    tanh_slice,
+    fast_tanh, gemm_nt, gemv, gemv_acc, gemv_t_acc, lstm_backward_gates, lstm_gates, lstm_state,
+    outer_acc, sigmoid_slice, softmax_inplace, sq_sum, sq_sum_ftz, tanh_slice,
 };
 pub use mat::Mat;
 pub use simd::simd_level;

@@ -25,32 +25,6 @@ pub fn gemm_nt(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, c: &mut [f32]
     }
 }
 
-/// Scalar `C += A B`.
-pub fn gemm_nn_acc(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, c: &mut [f32]) {
-    for i in 0..m {
-        for j in 0..n {
-            let mut acc = 0.0f32;
-            for l in 0..k {
-                acc += a[i * k + l] * b[l * n + j];
-            }
-            c[i * n + j] += acc;
-        }
-    }
-}
-
-/// Scalar `C += A^T B` (`A` is `k × m`).
-pub fn gemm_tn_acc(a: &[f32], k: usize, m: usize, b: &[f32], n: usize, c: &mut [f32]) {
-    for i in 0..m {
-        for j in 0..n {
-            let mut acc = 0.0f32;
-            for l in 0..k {
-                acc += a[l * m + i] * b[l * n + j];
-            }
-            c[i * n + j] += acc;
-        }
-    }
-}
-
 /// Scalar gather-sum over sparse column ids.
 pub fn sparse_dot(w: &[f32], ids: &[u32]) -> f32 {
     ids.iter().map(|&i| w[i as usize]).sum()

@@ -90,39 +90,6 @@ fn gemm_nt_matches_reference_on_odd_shapes() {
 }
 
 #[test]
-fn gemm_accumulating_variants_match_reference() {
-    let mut rng = StdRng::seed_from_u64(0xacc);
-    for _ in 0..ROUNDS {
-        let m = dim(&mut rng, true);
-        let k = dim(&mut rng, true);
-        let n = dim(&mut rng, true);
-        // Start both sides from the same nonzero C so `+=` semantics are
-        // exercised, not just the product.
-        let c0 = vecf(&mut rng, m * n);
-
-        let a_nn = vecf(&mut rng, m * k);
-        let b_nn = vecf(&mut rng, k * n);
-        let mut c = c0.clone();
-        let mut c_ref = c0.clone();
-        tensor::gemm_nn_acc(&a_nn, m, k, &b_nn, n, &mut c);
-        reference::gemm_nn_acc(&a_nn, m, k, &b_nn, n, &mut c_ref);
-        for (i, (x, y)) in c.iter().zip(&c_ref).enumerate() {
-            assert_close(*x, *y, 1e-5, &format!("gemm_nn_acc {m}x{k}x{n} elem {i}"));
-        }
-
-        let a_tn = vecf(&mut rng, k * m);
-        let b_tn = vecf(&mut rng, k * n);
-        let mut c = c0.clone();
-        let mut c_ref = c0;
-        tensor::gemm_tn_acc(&a_tn, k, m, &b_tn, n, &mut c);
-        reference::gemm_tn_acc(&a_tn, k, m, &b_tn, n, &mut c_ref);
-        for (i, (x, y)) in c.iter().zip(&c_ref).enumerate() {
-            assert_close(*x, *y, 1e-5, &format!("gemm_tn_acc {k}x{m}x{n} elem {i}"));
-        }
-    }
-}
-
-#[test]
 fn sparse_dot_matches_reference_including_empty_and_len1() {
     let mut rng = StdRng::seed_from_u64(0x59a);
     for round in 0..ROUNDS {

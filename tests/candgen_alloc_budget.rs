@@ -11,7 +11,9 @@
 //! The budget catches per-span heap traffic in matching. A dictionary
 //! matcher that builds a lowercased `String` for each span it tries
 //! allocates once per (start position × span length), some 21–28k times
-//! per ~1.6k-word article.
+//! per ~1.6k-word article. The matcher's `mentions` scan allocates one
+//! memo per document, a byte per symbol, so it answers each distinct word
+//! once; the budget admits that and nothing per token.
 
 use fonduer::core::domains::paleo;
 use fonduer::prelude::*;
@@ -22,9 +24,11 @@ const N_DOCS: usize = 8;
 const SEED: u64 = 13;
 
 /// Committed allocations per document per relation for document-scope
-/// extraction. What remains is the per-document output: the mention and
-/// candidate vectors and their growth. The first-token index lowercases
-/// ASCII words on the stack, so rejected start positions allocate nothing.
+/// extraction. What remains is per document: the mention and candidate
+/// vectors and their growth, and one per-word memo per mention type (10
+/// allocations in all when this budget was last measured). The first-token
+/// index lowercases ASCII words on the stack, so rejected start positions
+/// allocate nothing.
 const BUDGET_ALLOCS_PER_DOC: u64 = 200;
 
 #[test]

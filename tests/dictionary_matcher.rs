@@ -1,12 +1,12 @@
 //! Differential test for `DictionaryMatcher`.
 //!
-//! The matcher answers from an index of its entries by first token. Here
-//! it must agree, at every start position and on every span, with the
-//! plain definition of a dictionary match: the span's normalized text
-//! (`Span::normalized_text`) is a normalized entry, searched longest
-//! first. That definition lives only in this test.
+//! The matcher answers from an index of its entries by first token, and
+//! its `mentions` scan remembers per word symbol whether the word begins
+//! an entry. Here it must agree, at every start position and on every
+//! span, with the plain definition of a dictionary match: the span's
+//! normalized text (`Span::normalized_text`) is a normalized entry,
+//! searched longest first. That definition lives only in this test.
 
-use fonduer::candidates::extract_mentions;
 use fonduer::datamodel::{ContextRef, SentenceId};
 use fonduer::prelude::*;
 use std::collections::BTreeSet;
@@ -100,8 +100,8 @@ fn check<S: AsRef<str>>(raw: &[S], docs: &[&Document], what: &str) -> usize {
             }
         }
     }
-    // The greedy walk over the index agrees with the same walk over the
-    // reference predicate, which goes through the default `longest_match`.
+    // The index's scan agrees with the default `mentions` scan over the
+    // reference predicate, one document after another through one matcher.
     let by_index = MentionType::new("index", Box::new(dict));
     let entries = reference.entries.clone();
     let by_definition = MentionType::new(
@@ -113,9 +113,9 @@ fn check<S: AsRef<str>>(raw: &[S], docs: &[&Document], what: &str) -> usize {
     );
     for doc in docs {
         assert_eq!(
-            extract_mentions(doc, &by_index),
-            extract_mentions(doc, &by_definition),
-            "{what}: extract_mentions in {}",
+            by_index.matcher.mentions(doc),
+            by_definition.matcher.mentions(doc),
+            "{what}: mentions in {}",
             doc.name
         );
     }
@@ -146,6 +146,28 @@ fn index_agrees_with_the_definition_on_all_synth_domains() {
         matched > 40,
         "only {matched} spans matched; the test is vacuous"
     );
+
+    // Long articles, where each word recurs many times within a document,
+    // so the scan's per-word memo answers most start positions.
+    let paleo = Domain::Paleo.generate(8, 13);
+    let docs: Vec<&Document> = paleo.corpus.iter().map(|(_, d)| d).collect();
+    for doc in &docs {
+        let mut occurrences = vec![0usize; doc.symbols.len()];
+        for &w in &doc.tok_words {
+            occurrences[w as usize] += 1;
+        }
+        let most = occurrences.iter().max().copied().unwrap_or(0);
+        assert!(most >= 100, "{}: no word recurs 100 times", doc.name);
+    }
+    let mut matched = 0;
+    for (name, raw) in &paleo.dictionaries {
+        let raw: Vec<&String> = raw.iter().collect();
+        matched += check(&raw, &docs, name);
+    }
+    assert!(
+        matched > 40,
+        "only {matched} spans matched in long articles; the test is vacuous"
+    );
 }
 
 fn doc_of(sentences: &[&[&str]]) -> Document {
@@ -160,7 +182,9 @@ fn doc_of(sentences: &[&[&str]]) -> Document {
 }
 
 fn texts(doc: &Document, dict: DictionaryMatcher) -> Vec<String> {
-    extract_mentions(doc, &MentionType::new("t", Box::new(dict)))
+    MentionType::new("t", Box::new(dict))
+        .matcher
+        .mentions(doc)
         .iter()
         .map(|s| s.text(doc))
         .collect()
@@ -230,10 +254,36 @@ fn hand_built_sentences_agree_with_the_definition() {
             vec![],
             doc_of(&[&["anything", "at", "all"]]),
         ),
+        (
+            "entry word first consumed inside a longer match",
+            vec!["Tyrannosaurus rex", "rex"],
+            doc_of(&[
+                &["Tyrannosaurus", "rex", "and"],
+                &["rex"],
+                &["a", "rex", "REX", "tyrannosaurus"],
+            ]),
+        ),
     ];
     for (what, raw, doc) in &cases {
         check(raw, &[doc], what);
     }
+
+    // One matcher over two documents that intern the same words in
+    // different orders: one symbol id names the entry's first word in the
+    // second document and a word that begins no entry in the first. A
+    // per-word memo that outlived its document would lose the second
+    // document's mention.
+    let first = doc_of(&[&["the", "Tyrannosaurus", "rex"]]);
+    let second = doc_of(&[&["Tyrannosaurus", "rex", "the"]]);
+    assert_eq!(
+        first.symbols.get("the"),
+        second.symbols.get("Tyrannosaurus")
+    );
+    check(
+        &["Tyrannosaurus rex"],
+        &[&first, &second, &first],
+        "intern order across documents",
+    );
 
     // Spot checks of what the definition implies.
     let get = |what: &str| cases.iter().find(|c| c.0 == what).unwrap();
@@ -261,5 +311,10 @@ fn hand_built_sentences_agree_with_the_definition() {
     assert_eq!(
         texts(doc, DictionaryMatcher::new(raw)),
         ["New Mexico", "New", "New York City"]
+    );
+    let (_, raw, doc) = get("entry word first consumed inside a longer match");
+    assert_eq!(
+        texts(doc, DictionaryMatcher::new(raw)),
+        ["Tyrannosaurus rex", "rex", "rex", "REX"]
     );
 }
