@@ -14,7 +14,7 @@ use fonduer_candidates::ContextScope;
 use fonduer_core::domains::{electronics, paleo};
 use fonduer_core::{PipelineConfig, PipelineSession, StageId};
 use fonduer_datamodel::DocId;
-use fonduer_features::{merge_shards, FeatureConfig, Featurizer};
+use fonduer_features::{merge_shards, FeatureConfig, FeatureVocab, Featurizer};
 use fonduer_learning::{prepare, FonduerModel, ModelConfig, ProbClassifier};
 use fonduer_nlp::HashedVocab;
 use fonduer_observe as observe;
@@ -567,12 +567,14 @@ fn bench_incremental(results: &mut Vec<BenchResult>) {
         "a renamed LF is voted on every training document"
     );
 
-    // The merge alone: per-document shards are already computed, assemble
+    // The merge alone, as a session runs it: per-document shards are
+    // already computed and resolved into the session's name table; assemble
     // the corpus-level CSR in deterministic input order — in hashing mode
     // (16 bits) and in the interned mode that default sessions run.
     let cands = ex.extract(&ds.corpus);
     let doc_shards = |cfg: FeatureConfig| {
         let fz = Featurizer::new(cfg);
+        let mut names = FeatureVocab::new();
         let mut shards = Vec::with_capacity(n_docs);
         let mut lo = 0usize;
         for di in 0..n_docs {
@@ -581,19 +583,21 @@ fn bench_incremental(results: &mut Vec<BenchResult>) {
             while hi < cands.candidates.len() && cands.candidates[hi].doc == id {
                 hi += 1;
             }
-            shards.push(fz.featurize_doc(ds.corpus.doc(id), &cands.candidates[lo..hi]));
+            let mut shard = fz.featurize_doc(ds.corpus.doc(id), &cands.candidates[lo..hi]);
+            shard.resolve(&mut names);
+            shards.push(shard);
             lo = hi;
         }
-        shards
+        (names, shards)
     };
-    let shards = doc_shards(FeatureConfig::all().with_hashing(16));
+    let (names, shards) = doc_shards(FeatureConfig::all().with_hashing(16));
     bench(results, "session/shard_merge", 2, 10, || {
-        merge_shards(16, &shards)
+        merge_shards(&names, 16, &shards)
     });
     with_throughput(results, cands.len());
-    let shards = doc_shards(FeatureConfig::all());
+    let (names, shards) = doc_shards(FeatureConfig::all());
     bench(results, "session/shard_merge_interned", 2, 10, || {
-        merge_shards(0, &shards)
+        merge_shards(&names, 0, &shards)
     });
     with_throughput(results, cands.len());
 

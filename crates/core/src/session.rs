@@ -73,7 +73,9 @@ use crate::kb::KnowledgeBase;
 use crate::pipeline::{is_train_doc, Learner, PipelineConfig, PipelineOutput, Task, Timings};
 use fonduer_candidates::{Candidate, CandidateExtractor, CandidateSet};
 use fonduer_datamodel::{Corpus, DocId, Document};
-use fonduer_features::{merge_shards, DocFeatureShard, FeatureConfig, FeatureSet, Featurizer};
+use fonduer_features::{
+    merge_shards, DocFeatureShard, FeatureConfig, FeatureSet, FeatureVocab, Featurizer,
+};
 use fonduer_learning::{
     prepare, FonduerModel, HogwildLogReg, LogRegModel, ModelConfig, PreparedDataset, ProbClassifier,
 };
@@ -214,6 +216,10 @@ struct CandidateArtifact {
     set: CandidateSet,
     /// `ranges[i]` is the `[lo, hi)` candidate index range of document `i`.
     ranges: Vec<(u32, u32)>,
+    /// `shards[i]` is the shard document `i`'s candidates came from. Held so
+    /// the next merge can tell, by pointer, which positions kept their
+    /// shard and move their candidates instead of cloning them.
+    shards: Vec<Arc<Vec<Candidate>>>,
 }
 
 /// Default shard capacity before the first corpus-sized resize.
@@ -223,6 +229,10 @@ const DEFAULT_SHARD_CAPACITY: usize = 64;
 struct ShardStore {
     candidates: ShardCache<Vec<Candidate>>,
     features: ShardCache<DocFeatureShard>,
+    /// The append-only feature-name table every cached feature shard was
+    /// resolved into (see [`DocFeatureShard::resolve`]). It keeps the names
+    /// of replaced and evicted shards until [`ShardStore::clear`].
+    feature_names: FeatureVocab,
     labels: ShardCache<LabelShard>,
 }
 
@@ -231,6 +241,7 @@ impl ShardStore {
         Self {
             candidates: ShardCache::new(DEFAULT_SHARD_CAPACITY),
             features: ShardCache::new(DEFAULT_SHARD_CAPACITY),
+            feature_names: FeatureVocab::new(),
             labels: ShardCache::new(DEFAULT_SHARD_CAPACITY),
         }
     }
@@ -247,6 +258,7 @@ impl ShardStore {
     fn clear(&mut self) {
         self.candidates.clear();
         self.features.clear();
+        self.feature_names = FeatureVocab::new();
         self.labels.clear();
     }
 
@@ -859,6 +871,7 @@ impl<'a> PipelineSession<'a> {
             return Ok(());
         }
         self.note(StageId::Candidates, false);
+        let previous = self.candidates.take().map(|c| c.value);
         let cfg_fp = hash_parts("shard.cand", &[self.extractor.fingerprint()]);
         let n = self.corpus.len();
         self.shards.resize_for(n);
@@ -874,7 +887,7 @@ impl<'a> PipelineSession<'a> {
                 // `extract_corpus` span covers only this per-document work
                 // (what the doc-timings table measures); the merge below is
                 // corpus-global reduction, outside it.
-                let plan = {
+                let plan: Vec<Arc<Vec<Candidate>>> = {
                     let _span = observe::span("extract_corpus");
                     let mut plan: Vec<Option<Arc<Vec<Candidate>>>> = corpus
                         .doc_ids()
@@ -911,19 +924,40 @@ impl<'a> PipelineSession<'a> {
                             plan[id.index()] = Some(shard);
                         }
                     }
-                    plan
+                    plan.into_iter()
+                        .map(|shard| shard.expect("every shard resolved above"))
+                        .collect()
                 };
                 // Deterministic input-order merge (the fonduer-par reduction
                 // contract), re-pointing each candidate at its current
                 // corpus position so shards survive the DocId shifts a
-                // removal causes.
-                let mut candidates = Vec::new();
+                // removal causes. A position whose shard is the one the
+                // previous artifact merged there already holds exactly
+                // these candidates: move them, in one pass over the
+                // previous vector, instead of cloning the shard again.
+                let (mut old, old_ranges, old_shards) = match previous {
+                    Some(p) => (p.set.candidates.into_iter(), p.ranges, p.shards),
+                    None => (Vec::new().into_iter(), Vec::new(), Vec::new()),
+                };
+                let mut next_old = 0;
+                let mut candidates = Vec::with_capacity(plan.iter().map(|s| s.len()).sum());
                 let mut ranges = Vec::with_capacity(n);
                 for (i, shard) in plan.iter().enumerate() {
-                    let shard = shard.as_ref().expect("every shard resolved above");
                     let lo = candidates.len() as u32;
-                    let id = DocId::from_usize(i);
-                    candidates.extend(shard.iter().map(|c| Candidate::new(id, c.mentions.clone())));
+                    match old_shards.get(i) {
+                        Some(kept) if Arc::ptr_eq(kept, shard) => {
+                            let (old_lo, old_hi) = old_ranges[i];
+                            old.by_ref().take(old_lo as usize - next_old).for_each(drop);
+                            candidates.extend(old.by_ref().take((old_hi - old_lo) as usize));
+                            next_old = old_hi as usize;
+                        }
+                        _ => {
+                            let id = DocId::from_usize(i);
+                            candidates.extend(
+                                shard.iter().map(|c| Candidate::new(id, c.mentions.clone())),
+                            );
+                        }
+                    }
                     ranges.push((lo, candidates.len() as u32));
                 }
                 CandidateArtifact {
@@ -932,6 +966,7 @@ impl<'a> PipelineSession<'a> {
                         candidates,
                     },
                     ranges,
+                    shards: plan,
                 }
             })
         });
@@ -996,6 +1031,7 @@ impl<'a> PipelineSession<'a> {
         let hashing_bits = self.cfg.features.hashing_bits;
         let n_threads = self.cfg.n_threads;
         let cache = &mut self.shards.features;
+        let names = &mut self.shards.feature_names;
         let recomputed = &mut self.recomputed;
         let (feats, took) = progress_stage("featurize", || {
             observe::timed("featurize", || {
@@ -1028,10 +1064,13 @@ impl<'a> PipelineSession<'a> {
                                     &art.set.candidates[lo as usize..hi as usize],
                                 )
                             });
-                        for (&i, (shard, ns)) in missing.iter().zip(computed) {
+                        // `missing` ascends, so new names join the table in
+                        // corpus order.
+                        for (&i, (mut shard, ns)) in missing.iter().zip(computed) {
                             let name = &corpus.doc(DocId::from_usize(i)).name;
                             observe::doc_stage_ns(name, "featurize", ns);
                             recomputed.insert(name.clone());
+                            shard.resolve(names);
                             let shard = Arc::new(shard);
                             cache.insert(
                                 ShardKey {
@@ -1045,14 +1084,14 @@ impl<'a> PipelineSession<'a> {
                     }
                     plan
                 };
-                // Input-order merge: shard-local feature ids remap through
-                // a shared vocab in first-occurrence order, reproducing the
-                // sequential featurizer's intern order byte for byte.
+                // Input-order merge: each shard's table symbols take column
+                // ids in first-occurrence order, reproducing the sequential
+                // featurizer's intern order byte for byte.
                 let shards: Vec<Arc<DocFeatureShard>> = plan
                     .into_iter()
                     .map(|shard| shard.expect("every shard resolved above"))
                     .collect();
-                merge_shards(hashing_bits, &shards)
+                merge_shards(names, hashing_bits, &shards)
             })
         });
         self.timings.featurize = took;

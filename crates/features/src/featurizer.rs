@@ -9,7 +9,10 @@
 //! The hot path is allocation-free: template emitters write interned `u32`
 //! symbols through a [`FeatureSink`] reused across a whole document shard,
 //! the per-document mention cache stores symbol slices (not strings), and
-//! the output is a CSR matrix shared zero-copy (`Arc`) with the learners.
+//! the output is a presence-only CSR matrix shared zero-copy (`Arc`) with
+//! the learners. A document shard interns its names once, into a name
+//! table ([`DocFeatureShard::resolve`]); merging shards then moves integers
+//! only ([`merge_shards`]).
 
 use crate::binary::binary_features_into;
 use crate::config::FeatureConfig;
@@ -81,8 +84,9 @@ impl CacheStats {
 pub struct FeatureSet {
     /// Feature-name interning table (empty in hashing mode).
     pub vocab: FeatureVocab,
-    /// One row per candidate; presence-valued (1.0) per Appendix B's
-    /// bit-vector semantics. Shared zero-copy with learning/supervision.
+    /// One presence-only row of column ids per candidate (Appendix B's
+    /// features are bit vectors). Shared zero-copy with
+    /// learning/supervision.
     pub matrix: Arc<CsrMatrix>,
     /// Cache statistics accumulated over the run.
     pub stats: CacheStats,
@@ -159,13 +163,14 @@ impl FeatureSet {
     }
 }
 
-/// Append the sink's raw emission row to the CSR matrix (sorted, one entry
-/// per id; see [`dedup_row`] for which modality tag a hashed bucket keeps)
-/// and reset the sink for the next candidate.
+/// Sort the sink's raw emission row with one entry per id (see
+/// [`dedup_row`] for which modality tag a hashed bucket keeps), tally its
+/// modalities into `row_modality` when given, hand the row to `emit`, and
+/// reset the sink for the next candidate.
 fn finish_row(
     sink: &mut FeatureSink<'_>,
-    csr: &mut CsrMatrix,
     row_modality: Option<&mut Vec<[u32; 5]>>,
+    emit: impl FnOnce(&[(u32, u8)]),
 ) {
     let row = sink.row_mut();
     dedup_row(row);
@@ -176,7 +181,7 @@ fn finish_row(
         }
         rm.push(counts);
     }
-    csr.push_ids(row.iter().map(|&(id, _)| id));
+    emit(row);
     row.clear();
 }
 
@@ -294,7 +299,9 @@ impl Featurizer {
                         self.cache_enabled.then_some(&mut cache),
                         &mut stats,
                     );
-                    finish_row(&mut sink, &mut csr, row_modality.as_mut());
+                    finish_row(&mut sink, row_modality.as_mut(), |row| {
+                        csr.push_ids(row.iter().map(|&(id, _)| id));
+                    });
                 }
                 if let Some(t0) = t0 {
                     let ns = t0.elapsed().as_nanos() as u64;
@@ -315,24 +322,31 @@ impl Featurizer {
 }
 
 /// One document's featurization shard: self-contained CSR-block rows for
-/// that document's candidates. In interned mode every symbol id indexes the
-/// shard's own first-occurrence `delta` vocabulary, which also keeps each
-/// name's FNV-1a hash (8 bytes per name) so [`merge_shards`] never hashes a
-/// name again; in hashing mode ids are final buckets and the delta is
-/// empty. Shards carry no document id — sessions key them by
+/// that document's candidates. Rows hold shard-local ids. In interned mode
+/// they index the shard's own first-occurrence `delta` vocabulary (which
+/// keeps each name's FNV-1a hash) until [`DocFeatureShard::resolve`]
+/// interns those names into a session's name table and keeps only each
+/// local id's symbol there. In hashing mode ids are final buckets, the
+/// delta is empty, and each row's modality tally is recorded when the
+/// shard is computed. Shards carry no document id — sessions key them by
 /// `(document content hash, feature-config fingerprint)` and stitch them
 /// into a corpus-level [`FeatureSet`] with [`merge_shards`], so a
 /// document's shard stays valid when other documents are inserted or
 /// removed around it.
 #[derive(Debug, Clone)]
 pub struct DocFeatureShard {
-    /// All rows back-to-back, each sorted by id with one entry per id.
-    flat: Vec<(u32, u8)>,
+    /// All rows back-to-back, each with one entry per id.
+    flat: Vec<u32>,
     /// Row boundaries into `flat` (`n_rows + 1` offsets).
     offsets: Vec<u32>,
-    /// Shard-local first-occurrence vocabulary with per-name hashes (empty
-    /// in hashing mode).
+    /// Shard-local first-occurrence vocabulary with per-name hashes; empty
+    /// once resolved, and always in hashing mode.
     delta: FeatureVocab,
+    /// Name-table symbol of each local id, filled by
+    /// [`DocFeatureShard::resolve`].
+    symbols: Vec<u32>,
+    /// Per-row modality tallies (hashing mode only).
+    row_modality: Vec<[u32; 5]>,
     stats: CacheStats,
     tally: [u64; 5],
     /// `FeatureConfig::hashing_bits` the shard was built with.
@@ -345,11 +359,17 @@ impl DocFeatureShard {
         self.offsets.len() - 1
     }
 
-    /// Approximate retained heap bytes (rows + delta vocab arena).
-    pub fn heap_bytes(&self) -> usize {
-        self.flat.capacity() * std::mem::size_of::<(u32, u8)>()
-            + self.offsets.capacity() * std::mem::size_of::<u32>()
-            + self.delta.heap_bytes()
+    /// Intern this shard's names into `names`, in local-id order under the
+    /// hashes the shard kept, and keep only each local id's symbol in
+    /// `names`: the shard drops its own name arena. [`merge_shards`] reads
+    /// shards resolved into one table. `names` is append-only for as long
+    /// as resolved shards are merged against it; resolving twice is a
+    /// no-op.
+    pub fn resolve(&mut self, names: &mut FeatureVocab) {
+        let delta = std::mem::take(&mut self.delta);
+        self.symbols.extend(
+            (0..delta.len() as u32).map(|l| names.intern_hashed(delta.hash(l), delta.name(l))),
+        );
     }
 }
 
@@ -361,14 +381,16 @@ impl Featurizer {
     /// from a mutated corpus featurize correctly).
     ///
     /// The per-document mention cache works exactly as in
-    /// [`Featurizer::featurize`]; merging shards in corpus order with
-    /// [`merge_shards`] reproduces the sequential output byte-for-byte.
+    /// [`Featurizer::featurize`]; resolving the shards into one name table
+    /// and merging them in corpus order with [`merge_shards`] reproduces
+    /// the sequential output byte-for-byte.
     pub fn featurize_doc(&self, doc: &Document, cands: &[Candidate]) -> DocFeatureShard {
         let hashed = self.cfg.hashing_bits > 0;
         let mut delta = FeatureVocab::new();
-        let mut flat: Vec<(u32, u8)> = Vec::with_capacity(cands.len() * 64);
+        let mut flat: Vec<u32> = Vec::with_capacity(cands.len() * 64);
         let mut offsets: Vec<u32> = Vec::with_capacity(cands.len() + 1);
         offsets.push(0);
+        let mut row_modality = Vec::with_capacity(if hashed { cands.len() } else { 0 });
         let mut stats = CacheStats::default();
         let mut cache: MentionCache = HashMap::new();
         let tally;
@@ -386,14 +408,13 @@ impl Featurizer {
                     self.cache_enabled.then_some(&mut cache),
                     &mut stats,
                 );
-                let row = sink.row_mut();
                 // Dedup by local id in the shard: a name maps to exactly one
                 // delta id, so this removes the same duplicates the
                 // sequential path would.
-                dedup_row(row);
-                flat.extend_from_slice(row);
-                row.clear();
-                offsets.push(flat.len() as u32);
+                finish_row(&mut sink, hashed.then_some(&mut row_modality), |row| {
+                    flat.extend(row.iter().map(|&(id, _)| id));
+                    offsets.push(flat.len() as u32);
+                });
             }
             tally = sink.tally();
         }
@@ -403,6 +424,8 @@ impl Featurizer {
             flat,
             offsets,
             delta,
+            symbols: Vec::new(),
+            row_modality,
             stats,
             tally,
             hashing_bits: self.cfg.hashing_bits,
@@ -410,12 +433,13 @@ impl Featurizer {
     }
 
     /// Featurize a candidate set on `pool`: each document's run of
-    /// candidates is one [`Featurizer::featurize_doc`] task, and
-    /// [`merge_shards`] stitches the shards in input order, so the
-    /// vocabulary order, the CSR rows and the cache statistics are
-    /// byte-identical to [`Featurizer::featurize`] at every pool width. At
-    /// width 1 this is [`Featurizer::featurize`], which interns each name
-    /// once instead of once per document.
+    /// candidates is one [`Featurizer::featurize_doc`] task, the shards are
+    /// resolved into a local name table in input order, and
+    /// [`merge_shards`] stitches them in that order, so the vocabulary
+    /// order, the CSR rows and the cache statistics are byte-identical to
+    /// [`Featurizer::featurize`] at every pool width. At width 1 this is
+    /// [`Featurizer::featurize`], which interns each name once instead of
+    /// once per document.
     pub fn featurize_parallel(
         &self,
         corpus: &Corpus,
@@ -429,38 +453,57 @@ impl Featurizer {
         let runs: Vec<&[Candidate]> = cands.candidates.chunk_by(|a, b| a.doc == b.doc).collect();
         let shards =
             pool.par_map_timed(&runs, |run| self.featurize_doc(corpus.doc(run[0].doc), run));
+        let mut names = FeatureVocab::new();
         let shards: Vec<DocFeatureShard> = runs
             .iter()
             .zip(shards)
-            .map(|(run, (shard, ns))| {
+            .map(|(run, (mut shard, ns))| {
                 observe::doc_stage_ns(&corpus.doc(run[0].doc).name, "featurize", ns);
+                shard.resolve(&mut names);
                 shard
             })
             .collect();
-        merge_shards(self.cfg.hashing_bits, &shards)
+        merge_shards(&names, self.cfg.hashing_bits, &shards)
     }
 }
 
-/// Stitch per-document shards, given in corpus order, into one corpus-level
-/// [`FeatureSet`]: byte-identical to [`Featurizer::featurize`] over the
-/// concatenated candidates (same first-occurrence vocabulary, same sorted
-/// rows, same cache statistics), with the emission tallies and cache
-/// counters flushed to `fonduer-observe` as [`Featurizer::featurize`] does.
+/// Stitch per-document shards, given in corpus order and resolved into the
+/// name table `names` (see [`DocFeatureShard::resolve`]), into one
+/// corpus-level [`FeatureSet`]: byte-identical to [`Featurizer::featurize`]
+/// over the concatenated candidates (same first-occurrence vocabulary, same
+/// sorted rows, same cache statistics), with the emission tallies and
+/// cache counters flushed to `fonduer-observe` as
+/// [`Featurizer::featurize`] does.
 ///
 /// The merged matrix has exactly Σ shard rows and Σ shard entries, so its
-/// three arrays are allocated once at that size. In hashing mode shard ids
-/// are final buckets, already sorted and deduped, and rows stream straight
-/// through. In interned mode each shard's names are interned into the
-/// corpus vocabulary in first-occurrence order under the hashes the shard
-/// kept, so no name is hashed twice. A shard vocabulary holds each name
-/// once, so the local → global remap is injective: a remapped row has
-/// distinct ids and needs reordering only, never dedup — and the
-/// reordering sorts nothing (see `RowOrder`).
-pub fn merge_shards<S: Borrow<DocFeatureShard>>(hashing_bits: u8, shards: &[S]) -> FeatureSet {
+/// two arrays are allocated once at that size. In hashing mode shard ids
+/// are final buckets, already sorted and deduped, with their modality
+/// tallies recorded, so rows and tallies are copied. In interned mode each
+/// table symbol gets the next column id the first time a shard, in merge
+/// order, names it, and only then is its name copied into the merged
+/// vocabulary: one array lookup per shard name, no hashing or interning.
+/// Column order depends on merge order only, never on the table's order,
+/// so names the table keeps for shards not merged never reach the output.
+/// A shard holds each name once, so the local → column map is injective:
+/// a mapped row has distinct ids and needs reordering only, never dedup —
+/// and the reordering sorts nothing (see `RowOrder`).
+///
+/// # Panics
+///
+/// If an interned-mode shard with names was never resolved.
+pub fn merge_shards<S: Borrow<DocFeatureShard>>(
+    names: &FeatureVocab,
+    hashing_bits: u8,
+    shards: &[S],
+) -> FeatureSet {
     let (mut n_rows, mut nnz) = (0usize, 0usize);
     for shard in shards {
         let shard = shard.borrow();
         debug_assert_eq!(shard.hashing_bits, hashing_bits);
+        assert!(
+            shard.delta.is_empty(),
+            "merge_shards takes shards resolved into a name table"
+        );
         n_rows += shard.n_rows();
         nnz += shard.flat.len();
     }
@@ -472,28 +515,18 @@ pub fn merge_shards<S: Borrow<DocFeatureShard>>(hashing_bits: u8, shards: &[S]) 
     let mut tally = [0u64; 5];
     let mut row_modality: Option<Vec<[u32; 5]>> =
         (hashing_bits > 0).then(|| Vec::with_capacity(n_rows));
-    let mut order = RowOrder::default();
+    let mut order = RowOrder::new(names.len());
     for shard in shards {
         let shard = shard.borrow();
-        let rows = shard
-            .offsets
-            .windows(2)
-            .map(|w| &shard.flat[w[0] as usize..w[1] as usize]);
         if let Some(rm) = row_modality.as_mut() {
-            debug_assert_eq!(shard.delta.len(), 0);
-            for row in rows {
-                let mut counts = [0u32; 5];
-                for &(id, m) in row {
-                    counts[(m as usize).min(4)] += 1;
-                    indices.push(id);
-                }
-                rm.push(counts);
-                indptr.push(indices.len() as u32);
-            }
+            let base = indices.len() as u32;
+            indices.extend_from_slice(&shard.flat);
+            indptr.extend(shard.offsets[1..].iter().map(|&o| base + o));
+            rm.extend_from_slice(&shard.row_modality);
         } else {
-            order.rank_shard(&shard.delta, &mut vocab);
-            for row in rows {
-                order.emit_row(row, &mut indices);
+            order.rank_shard(&shard.symbols, names, &mut vocab);
+            for w in shard.offsets.windows(2) {
+                order.emit_row(&shard.flat[w[0] as usize..w[1] as usize], &mut indices);
                 indptr.push(indices.len() as u32);
             }
         }
@@ -507,38 +540,56 @@ pub fn merge_shards<S: Borrow<DocFeatureShard>>(hashing_bits: u8, shards: &[S]) 
     flush_tally(&tally, &stats);
     FeatureSet {
         vocab,
-        matrix: Arc::new(CsrMatrix::from_parts(indptr, indices, vec![1.0; nnz])),
+        matrix: Arc::new(CsrMatrix::from_parts(indptr, indices)),
         stats,
         hashing_bits,
         row_modality,
     }
 }
 
-/// Reusable scratch that puts one shard's rows into ascending global-id
-/// order without sorting. [`RowOrder::rank_shard`] interns the shard's
-/// names and ranks its local ids by global id with one scan of a bitmap
-/// over the corpus vocabulary; [`RowOrder::emit_row`] then sets a row's
-/// ranks in a shard-sized bitset and reads them back in order. Both
-/// bitmaps are cleared by the scans that read them.
-#[derive(Default)]
+/// Column id not yet given to a table symbol.
+const NO_COLUMN: u32 = u32::MAX;
+
+/// Merge scratch that gives table symbols their column ids and puts one
+/// shard's rows into ascending column order without sorting.
+/// [`RowOrder::rank_shard`] maps the shard's symbols to columns and ranks
+/// its local ids by column with one scan of a bitmap over the columns;
+/// [`RowOrder::emit_row`] then sets a row's ranks in a shard-sized bitset
+/// and reads them back in order. Both bitmaps are cleared by the scans
+/// that read them.
 struct RowOrder {
-    /// Bitmap over the corpus vocabulary, all zero between shards.
+    /// Column id of each table symbol, [`NO_COLUMN`] until a shard names it.
+    column: Vec<u32>,
+    /// Bitmap over the columns, all zero between shards.
     seen: Vec<u64>,
-    /// Shard-local id of each global id marked in `seen`.
+    /// Shard-local id of each column marked in `seen`.
     owner: Vec<u32>,
-    /// Rank of each shard-local id in ascending global-id order.
+    /// Rank of each shard-local id in ascending column order.
     rank: Vec<u32>,
-    /// Global id at each rank (ascending).
+    /// Column at each rank (ascending).
     by_rank: Vec<u32>,
     /// Bitset over the shard's ranks, all zero between rows.
     row_bits: Vec<u64>,
 }
 
 impl RowOrder {
-    /// Intern a shard's names into `vocab` in local-id order and rank its
-    /// local ids by global id, in O(names + id span / 64).
-    fn rank_shard(&mut self, delta: &FeatureVocab, vocab: &mut FeatureVocab) {
-        let n = delta.len();
+    /// Scratch for merging shards resolved into a table of `n_names`.
+    fn new(n_names: usize) -> Self {
+        Self {
+            column: vec![NO_COLUMN; n_names],
+            seen: vec![0; n_names.div_ceil(64)],
+            owner: vec![0; n_names],
+            rank: Vec::new(),
+            by_rank: Vec::new(),
+            row_bits: Vec::new(),
+        }
+    }
+
+    /// Map a shard's symbols to columns, giving each symbol not named
+    /// before the next column id and copying its name into `vocab`, then
+    /// rank the shard's local ids by column, in O(names + column span / 64).
+    fn rank_shard(&mut self, symbols: &[u32], names: &FeatureVocab, vocab: &mut FeatureVocab) {
+        let n = symbols.len();
         self.rank.resize(n, 0);
         self.by_rank.clear();
         self.row_bits.clear();
@@ -547,14 +598,14 @@ impl RowOrder {
             return;
         }
         let (mut lo, mut hi) = (usize::MAX, 0);
-        for local in 0..n as u32 {
-            let g = vocab.intern_hashed(delta.hash(local), delta.name(local)) as usize;
-            if self.seen.len() <= g / 64 {
-                self.seen.resize(g / 64 + 1, 0);
-                self.owner.resize(self.seen.len() * 64, 0);
+        for (local, &sym) in symbols.iter().enumerate() {
+            let col = &mut self.column[sym as usize];
+            if *col == NO_COLUMN {
+                *col = vocab.push_from(names, sym);
             }
+            let g = *col as usize;
             self.seen[g / 64] |= 1 << (g % 64);
-            self.owner[g] = local;
+            self.owner[g] = local as u32;
             lo = lo.min(g / 64);
             hi = hi.max(g / 64);
         }
@@ -570,9 +621,9 @@ impl RowOrder {
     }
 
     /// Append one shard row (one entry per local id) to `indices` as
-    /// ascending global ids.
-    fn emit_row(&mut self, row: &[(u32, u8)], indices: &mut Vec<u32>) {
-        for &(local, _) in row {
+    /// ascending column ids.
+    fn emit_row(&mut self, row: &[u32], indices: &mut Vec<u32>) {
+        for &local in row {
             let r = self.rank[local as usize] as usize;
             self.row_bits[r / 64] |= 1 << (r % 64);
         }
@@ -886,12 +937,14 @@ mod parallel_tests {
         let f = Featurizer::default();
         let seq = f.featurize(&corpus, &cands);
         let mut shards = Vec::new();
+        let mut names = FeatureVocab::new();
         for (doc, slice) in doc_slices(&cands) {
-            let shard = f.featurize_doc(corpus.doc(doc), slice);
+            let mut shard = f.featurize_doc(corpus.doc(doc), slice);
             assert_eq!(shard.n_rows(), slice.len());
+            shard.resolve(&mut names);
             shards.push(shard);
         }
-        let merged = merge_shards(0, &shards);
+        let merged = merge_shards(&names, 0, &shards);
         assert_eq!(merged.vocab.len(), seq.vocab.len());
         for c in 0..seq.vocab.len() as u32 {
             assert_eq!(merged.vocab.name(c), seq.vocab.name(c));
@@ -899,6 +952,44 @@ mod parallel_tests {
         }
         assert_eq!(merged.matrix, seq.matrix);
         assert_eq!(merged.stats, seq.stats);
+    }
+
+    #[test]
+    fn merge_order_alone_numbers_the_columns() {
+        // A session's table keeps names of shards it no longer merges and
+        // resolves shards in whatever order they were computed: neither
+        // may reach the merged vocabulary or matrix.
+        let (corpus, cands) = corpus_and_cands();
+        let f = Featurizer::default();
+        let seq = f.featurize(&corpus, &cands);
+        let mut names = FeatureVocab::new();
+        names.intern("A0_RETIRED_NAME");
+        let mut shards: Vec<DocFeatureShard> = doc_slices(&cands)
+            .into_iter()
+            .map(|(doc, slice)| f.featurize_doc(corpus.doc(doc), slice))
+            .collect();
+        for shard in shards.iter_mut().rev() {
+            shard.resolve(&mut names);
+            shard.resolve(&mut names); // a second resolve is a no-op
+        }
+        assert!(names.len() > seq.vocab.len());
+        let merged = merge_shards(&names, 0, &shards);
+        assert_eq!(merged.vocab.len(), seq.vocab.len());
+        for c in 0..seq.vocab.len() as u32 {
+            assert_eq!(merged.vocab.name(c), seq.vocab.name(c));
+            assert_eq!(merged.vocab.modality_idx(c), seq.vocab.modality_idx(c));
+            assert_eq!(merged.vocab.get(seq.vocab.name(c)), Some(c));
+        }
+        assert_eq!(merged.matrix, seq.matrix);
+    }
+
+    #[test]
+    #[should_panic(expected = "resolved into a name table")]
+    fn merge_rejects_an_unresolved_shard() {
+        let (corpus, cands) = corpus_and_cands();
+        let (doc, slice) = doc_slices(&cands)[0];
+        let shard = Featurizer::default().featurize_doc(corpus.doc(doc), slice);
+        merge_shards(&FeatureVocab::new(), 0, &[shard]);
     }
 
     #[test]
@@ -910,7 +1001,7 @@ mod parallel_tests {
             .into_iter()
             .map(|(doc, slice)| f.featurize_doc(corpus.doc(doc), slice))
             .collect();
-        let merged = merge_shards(16, &shards);
+        let merged = merge_shards(&FeatureVocab::new(), 16, &shards);
         assert_eq!(merged.matrix, seq.matrix);
         assert_eq!(merged.stats, seq.stats);
         for r in 0..cands.len() {
@@ -927,14 +1018,20 @@ mod parallel_tests {
         let f = Featurizer::default();
         let slices = doc_slices(&cands);
         let (doc, slice) = slices[2];
-        let shard = f.featurize_doc(corpus.doc(doc), slice);
+        let mut names = FeatureVocab::new();
+        let mut shard = f.featurize_doc(corpus.doc(doc), slice);
+        shard.resolve(&mut names);
         // Same mentions, deliberately wrong positional ids.
         let stale: Vec<Candidate> = slice
             .iter()
             .map(|c| Candidate::new(DocId(999), c.mentions.clone()))
             .collect();
-        let shard_stale = f.featurize_doc(corpus.doc(doc), &stale);
-        let (a, b) = (merge_shards(0, &[shard]), merge_shards(0, &[shard_stale]));
+        let mut shard_stale = f.featurize_doc(corpus.doc(doc), &stale);
+        shard_stale.resolve(&mut names);
+        let (a, b) = (
+            merge_shards(&names, 0, &[shard]),
+            merge_shards(&names, 0, &[shard_stale]),
+        );
         assert_eq!(a.matrix, b.matrix);
         assert_eq!(a.stats, b.stats);
     }

@@ -8,9 +8,11 @@
 //! * [`FeatureVocab`] — an arena interner. All feature names live in one
 //!   contiguous `String`; the hash index maps a 64-bit FNV-1a hash to
 //!   symbol ids with byte-compare collision chains, so interning an
-//!   already-known name allocates nothing. A document shard owns one for
-//!   its local ids; merging shards re-interns each shard's names in input
-//!   order under the hashes the shard kept.
+//!   already-known name allocates nothing. A document shard interns into
+//!   one of its own while it is computed; a session then resolves the
+//!   shard's names into its append-only name table once, under the hashes
+//!   the shard kept, and merging shards maps table symbols to columns with
+//!   array lookups, interning nothing.
 //! * [`FeatureSink`] — the reusable emission buffer the template emitters
 //!   write into. Feature names are composed in a scratch `String` (prefix +
 //!   template parts) and encoded to `u32` symbols immediately; strings
@@ -31,9 +33,10 @@ const FEATURE_HASH_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
 /// A [`SymbolArena`] (names back-to-back in one arena string, hash index
 /// with byte-compare collision chains) plus, per name, a modality tag
 /// computed once at intern time, so provenance tallies never re-stringify,
-/// and the name's FNV-1a hash, so merging a document shard's vocabulary
-/// into the corpus vocabulary never hashes a name twice. Interning a known
-/// name is hash + byte-compare, no allocation.
+/// and the name's FNV-1a hash, so resolving a document shard into a
+/// session's name table, and copying a table name into a merged
+/// vocabulary, never hash a name twice. Interning a known name is hash +
+/// byte-compare, no allocation.
 #[derive(Debug, Clone, Default)]
 pub struct FeatureVocab {
     syms: SymbolArena,
@@ -66,6 +69,17 @@ impl FeatureVocab {
     /// The FNV-1a hash a column's name was interned with.
     pub(crate) fn hash(&self, col: u32) -> u64 {
         self.hashes[col as usize]
+    }
+
+    /// Append symbol `sym` of `table`, a name this vocabulary does not
+    /// hold yet, with the hash and modality tag the table keeps for it.
+    pub(crate) fn push_from(&mut self, table: &FeatureVocab, sym: u32) -> u32 {
+        let h = table.hash(sym);
+        let id = self.syms.intern_hashed(h, table.name(sym));
+        debug_assert_eq!(id as usize, self.modality.len(), "name already held");
+        self.modality.push(table.modality[sym as usize]);
+        self.hashes.push(h);
+        id
     }
 
     /// Look up an existing feature.

@@ -13,11 +13,13 @@
 //!   [`FeatureVocab`], the reusable [`FeatureSink`], and the
 //!   feature-hashing mode;
 //! * [`featurizer::Featurizer::featurize_doc`] featurizes one document into
-//!   a [`DocFeatureShard`] and [`merge_shards`] stitches shards in input
-//!   order: the session's per-document path, and the parallel
-//!   corpus-level map;
-//! * [`sparse`] provides the CSR, LIL, and COO representations whose
-//!   access patterns C.2 compares.
+//!   a [`DocFeatureShard`], [`DocFeatureShard::resolve`] interns its names
+//!   into a name table once, and [`merge_shards`] stitches resolved shards
+//!   in input order with array lookups: the session's per-document path,
+//!   and the parallel corpus-level map;
+//! * [`sparse`] provides the presence-only CSR matrix the featurizer
+//!   outputs, and the valued LIL and COO representations whose access
+//!   patterns C.2 compares.
 
 #![warn(missing_docs)]
 #![deny(clippy::redundant_clone)]

@@ -3,10 +3,11 @@
 //!
 //! Three classic layouts with different access-pattern strengths:
 //!
-//! * [`CsrMatrix`] (compressed sparse row) — three flat arrays
-//!   (`indptr`/`indices`/`data`); rows are contiguous slices, the whole
-//!   matrix is three allocations, and it shares zero-copy behind an `Arc`.
-//!   The featurizer's output format.
+//! * [`CsrMatrix`] (compressed sparse row) — two flat arrays
+//!   (`indptr`/`indices`) of presence-only rows, since Appendix B's
+//!   features are bit vectors; rows are contiguous slices, the whole matrix
+//!   is two allocations, and it shares zero-copy behind an `Arc`. The
+//!   featurizer's output format.
 //! * [`LilMatrix`] (list of lists) — each row stores `(column, value)`
 //!   pairs; whole-row retrieval is one slice borrow, but updating a value
 //!   requires a scan of the row. Optimal for Labels in production.
@@ -96,16 +97,17 @@ impl SparseAccess for LilMatrix {
     }
 }
 
-/// Compressed-sparse-row matrix: row `r` spans
-/// `indices[indptr[r]..indptr[r+1]]` (sorted, deduplicated column ids) with
-/// parallel `data` values. Three flat allocations total, so a featurized
-/// corpus is shared zero-copy (`Arc<CsrMatrix>`) by the learners and
-/// supervision instead of being re-materialized per candidate.
-#[derive(Debug, Clone, PartialEq)]
+/// Presence-only compressed-sparse-row matrix: row `r` is the set of
+/// column ids `indices[indptr[r]..indptr[r+1]]` (sorted, deduplicated),
+/// every stored entry worth 1.0 (Appendix B's bit-vector features). Two
+/// flat allocations total, so a featurized corpus is shared zero-copy
+/// (`Arc<CsrMatrix>`) by the learners and supervision instead of being
+/// re-materialized per candidate. [`LilMatrix`] and [`CooMatrix`] keep
+/// values.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CsrMatrix {
     indptr: Vec<u32>,
     indices: Vec<u32>,
-    data: Vec<f32>,
 }
 
 impl Default for CsrMatrix {
@@ -120,25 +122,19 @@ impl CsrMatrix {
         Self {
             indptr: vec![0],
             indices: Vec::new(),
-            data: Vec::new(),
         }
     }
 
-    /// Assemble a matrix from its three arrays (`indptr` starts at 0 and
-    /// ends at `indices.len()`; each row's ids sorted and deduplicated).
-    pub(crate) fn from_parts(indptr: Vec<u32>, indices: Vec<u32>, data: Vec<f32>) -> Self {
+    /// Assemble a matrix from its two arrays (`indptr` starts at 0 and ends
+    /// at `indices.len()`; each row's ids sorted and deduplicated).
+    pub(crate) fn from_parts(indptr: Vec<u32>, indices: Vec<u32>) -> Self {
         debug_assert_eq!(indptr.first(), Some(&0));
         debug_assert_eq!(*indptr.last().unwrap() as usize, indices.len());
-        debug_assert_eq!(indices.len(), data.len());
-        Self {
-            indptr,
-            indices,
-            data,
-        }
+        Self { indptr, indices }
     }
 
-    /// Append a presence-valued (1.0) row of already sorted, deduplicated
-    /// column ids — the featurizer's hot path.
+    /// Append a row of already sorted, deduplicated column ids — the
+    /// featurizer's hot path.
     pub fn push_ids<I: IntoIterator<Item = u32>>(&mut self, ids: I) -> usize {
         for id in ids {
             debug_assert!(
@@ -147,27 +143,6 @@ impl CsrMatrix {
                 "push_ids requires sorted, deduplicated columns"
             );
             self.indices.push(id);
-            self.data.push(1.0);
-        }
-        self.indptr.push(self.indices.len() as u32);
-        self.indptr.len() - 2
-    }
-
-    /// Append a row of arbitrary entries. Sorted and deduplicated (last
-    /// write wins), matching [`LilMatrix::push_row`] semantics.
-    pub fn push_row(&mut self, mut entries: Vec<(u32, f32)>) -> usize {
-        entries.sort_by_key(|&(c, _)| c);
-        entries.dedup_by(|later, earlier| {
-            if later.0 == earlier.0 {
-                earlier.1 = later.1;
-                true
-            } else {
-                false
-            }
-        });
-        for (c, v) in entries {
-            self.indices.push(c);
-            self.data.push(v);
         }
         self.indptr.push(self.indices.len() as u32);
         self.indptr.len() - 2
@@ -185,14 +160,7 @@ impl CsrMatrix {
         &self.indices[lo..hi]
     }
 
-    /// Values of row `r`, aligned with [`CsrMatrix::row_ids`].
-    #[inline]
-    pub fn row_data(&self, r: usize) -> &[f32] {
-        let (lo, hi) = self.bounds(r);
-        &self.data[lo..hi]
-    }
-
-    /// The row-pointer array (`n_rows + 1` offsets into `indices`/`data`).
+    /// The row-pointer array (`n_rows + 1` offsets into `indices`).
     pub fn indptr(&self) -> &[u32] {
         &self.indptr
     }
@@ -202,14 +170,9 @@ impl CsrMatrix {
         &self.indices
     }
 
-    /// The flat value array.
-    pub fn data(&self) -> &[f32] {
-        &self.data
-    }
-
-    /// Retained heap bytes of the three arrays.
+    /// Retained heap bytes of the two arrays.
     pub fn heap_bytes(&self) -> usize {
-        self.indptr.capacity() * 4 + self.indices.capacity() * 4 + self.data.capacity() * 4
+        self.indptr.capacity() * 4 + self.indices.capacity() * 4
     }
 
     /// Convert to LIL (for the Appendix C.2 representation comparisons).
@@ -227,12 +190,9 @@ impl SparseAccess for CsrMatrix {
         self.indptr.len() - 1
     }
 
+    /// Every stored entry of a presence-only row reads 1.0.
     fn row_of(&self, r: usize) -> Vec<(u32, f32)> {
-        self.row_ids(r)
-            .iter()
-            .copied()
-            .zip(self.row_data(r).iter().copied())
-            .collect()
+        self.row_ids(r).iter().map(|&c| (c, 1.0)).collect()
     }
 
     fn nnz(&self) -> usize {
@@ -312,6 +272,7 @@ mod tests {
         let mut m = LilMatrix::new();
         let r = m.push_row(vec![(5, 1.0), (2, 1.0), (5, 3.0)]);
         assert_eq!(m.row(r), &[(2, 1.0), (5, 3.0)]);
+        assert_eq!(m.row_of(r), vec![(2, 1.0), (5, 3.0)]);
         assert_eq!(m.nnz(), 2);
     }
 
@@ -365,21 +326,10 @@ mod tests {
         assert_eq!(m.nnz(), 4);
         assert_eq!(m.row_ids(0), &[2, 5, 9]);
         assert_eq!(m.row_ids(1), &[] as &[u32]);
-        assert_eq!(m.row_data(0), &[1.0, 1.0, 1.0]);
+        assert_eq!(m.row_of(0), vec![(2, 1.0), (5, 1.0), (9, 1.0)]);
         assert_eq!(m.row_of(2), vec![(0, 1.0)]);
         assert_eq!(m.indptr(), &[0, 3, 3, 4]);
         assert!(m.heap_bytes() > 0);
-    }
-
-    #[test]
-    fn csr_push_row_matches_lil_semantics() {
-        let mut csr = CsrMatrix::new();
-        let mut lil = LilMatrix::new();
-        let entries = vec![(5, 1.0), (2, 1.0), (5, 3.0)];
-        csr.push_row(entries.clone());
-        lil.push_row(entries);
-        assert_eq!(csr.row_of(0), lil.row_of(0));
-        assert_eq!(csr.nnz(), lil.nnz());
     }
 
     #[test]

@@ -209,10 +209,11 @@ fn csr_round_trips_random_rows() {
             assert!(w[0] <= w[1]);
         }
         assert_eq!(*csr.indptr().last().unwrap() as usize, csr.indices().len());
-        assert_eq!(csr.indices().len(), csr.data().len());
         for (r, ids) in rows.iter().enumerate() {
             assert_eq!(csr.row_ids(r), ids.as_slice(), "row {r}");
-            assert!(csr.row_data(r).iter().all(|&v| v == 1.0));
+            // Presence-only rows: every stored entry reads 1.0.
+            let present: Vec<(u32, f32)> = ids.iter().map(|&c| (c, 1.0)).collect();
+            assert_eq!(csr.row_of(r), present, "row {r}");
         }
         // The LIL view agrees with the CSR rows.
         let lil = csr.to_lil();
@@ -224,21 +225,21 @@ fn csr_round_trips_random_rows() {
 }
 
 #[test]
-fn csr_push_row_sorts_and_dedups_arbitrary_entries() {
+fn lil_push_row_sorts_and_dedups_arbitrary_entries() {
     let mut rng = StdRng::seed_from_u64(0xFC);
     for _ in 0..CASES {
         let entries: Vec<(u32, f32)> = (0..rng.gen_range(0..40))
             .map(|_| (rng.gen_range(0u32..16), rng.gen_range(-2.0f32..2.0)))
             .collect();
-        let mut csr = CsrMatrix::new();
-        let r = csr.push_row(entries.clone());
-        let ids = csr.row_ids(r);
+        let mut lil = LilMatrix::new();
+        let r = lil.push_row(entries.clone());
+        let row = lil.row(r);
         // Strictly increasing columns — sorted with duplicates collapsed.
-        for w in ids.windows(2) {
-            assert!(w[0] < w[1], "{ids:?}");
+        for w in row.windows(2) {
+            assert!(w[0].0 < w[1].0, "{row:?}");
         }
         // Last write wins on duplicate columns, as LilMatrix::set does.
-        for (&c, &v) in ids.iter().zip(csr.row_data(r)) {
+        for &(c, v) in row {
             let want = entries.iter().rev().find(|&&(ec, _)| ec == c).unwrap().1;
             assert_eq!(v, want, "col {c}");
         }

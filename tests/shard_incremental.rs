@@ -8,11 +8,12 @@
 use fonduer::prelude::*;
 use fonduer_core::domains::electronics;
 use fonduer_core::{Error, PipelineSession};
-use fonduer_datamodel::{Corpus, DocId};
+use fonduer_datamodel::{Corpus, DocId, Document};
 use fonduer_features::{FeatureSet, Featurizer};
 use fonduer_supervision::LabelMatrix;
 use fonduer_synth::{Domain, SynthDataset};
 use rand::{rngs::StdRng, Rng, SeedableRng};
+use std::collections::BTreeSet;
 
 const RELATION: &str = "has_collector_current";
 
@@ -38,13 +39,19 @@ fn session<'a>(
 }
 
 /// Byte-identity for feature sets: same CSR arrays, same vocabulary
-/// content column for column.
+/// content and modality tags column for column, same cache statistics.
 fn assert_features_eq(a: &FeatureSet, b: &FeatureSet, ctx: &str) {
     assert_eq!(*a.matrix, *b.matrix, "{ctx}: CSR matrices differ");
     assert_eq!(a.vocab.len(), b.vocab.len(), "{ctx}: vocab sizes differ");
     for col in 0..a.vocab.len() as u32 {
         assert_eq!(a.vocab.name(col), b.vocab.name(col), "{ctx}: col {col}");
+        assert_eq!(
+            a.vocab.modality_idx(col),
+            b.vocab.modality_idx(col),
+            "{ctx}: modality of col {col}"
+        );
     }
+    assert_eq!(a.stats, b.stats, "{ctx}: cache stats differ");
 }
 
 /// Golden test: the shard-assembled candidate set, feature matrix, and
@@ -265,6 +272,116 @@ fn random_mutation_sequences_converge_to_cold_run() {
             "case {case}: label matrices diverged"
         );
     }
+}
+
+/// The feature names a document's candidates emit under `config()`.
+fn feature_names(extractor: &CandidateExtractor, doc: &Document) -> BTreeSet<String> {
+    let fz = Featurizer::new(FeatureConfig::all());
+    extractor
+        .extract_doc(DocId::from_usize(0), doc)
+        .iter()
+        .flat_map(|c| fz.features_of(doc, c))
+        .collect()
+}
+
+/// Upserts at the front of the corpus renumber every later feature column:
+/// a revision without candidates retires every name its old edition
+/// introduced, one with names the corpus has never seen shifts every later
+/// first occurrence, and a copy of a later document moves its names'
+/// first occurrences forward. After each upsert, a removal and an
+/// `invalidate()`, the warm session's vocabulary (names and modality
+/// tags), CSR arrays, cache statistics and candidates must equal a fresh
+/// session's over the same corpus, so names the session's table keeps for
+/// replaced shards never reach the output.
+#[test]
+fn front_upserts_renumber_exactly_like_a_cold_session() {
+    let ds = dataset(16, 7);
+    let extractor = electronics::extractor(&ds, RELATION, ContextScope::Document);
+    let lfs = electronics::lfs(RELATION);
+    let mut s = session(&ds, &extractor, &lfs);
+    let cold = s.featurize().expect("cold featurize").clone();
+    let has_candidates =
+        |doc: &Document| !extractor.extract_doc(DocId::from_usize(0), doc).is_empty();
+    let editions = dataset(64, 8).corpus;
+    let renamed = |doc: &Document, at: usize, s: &PipelineSession<'_>| {
+        let mut doc = doc.clone();
+        doc.name = s.corpus().doc(DocId::from_usize(at)).name.clone();
+        doc
+    };
+    let check = |s: &mut PipelineSession<'_>, ctx: &str| -> FeatureSet {
+        let corpus = s.corpus().clone();
+        let mut fresh = PipelineSession::from_parts(&corpus, &ds.gold, &extractor, &lfs, config())
+            .expect("session inputs are valid");
+        let warm = s.featurize().expect("warm featurize").clone();
+        assert_features_eq(&warm, fresh.featurize().expect("fresh featurize"), ctx);
+        assert_eq!(
+            *s.candidates().expect("warm candidates"),
+            *fresh.candidates().expect("fresh candidates"),
+            "{ctx}: candidates differ"
+        );
+        warm
+    };
+
+    // Position 0: a revision without candidates.
+    assert!(has_candidates(s.corpus().doc(DocId::from_usize(0))));
+    let empty = editions
+        .iter()
+        .map(|(_, d)| d)
+        .find(|d| !has_candidates(d))
+        .expect("some edition has no candidates");
+    let doc = renamed(empty, 0, &s);
+    s.upsert_document(doc).expect("name is unique");
+    let after_empty = check(&mut s, "revision without candidates at 0");
+    assert!(
+        (0..cold.vocab.len().min(after_empty.vocab.len()) as u32)
+            .any(|c| cold.vocab.name(c) != after_empty.vocab.name(c)),
+        "the retired names renumber later columns"
+    );
+
+    // Position 1: a revision bringing names the corpus has never seen.
+    let known: BTreeSet<String> = (0..after_empty.vocab.len() as u32)
+        .map(|c| after_empty.vocab.name(c).to_string())
+        .collect();
+    let novel = editions
+        .iter()
+        .map(|(_, d)| d)
+        .find(|d| has_candidates(d) && !feature_names(&extractor, d).is_subset(&known))
+        .expect("some edition brings unseen names");
+    let doc = renamed(novel, 1, &s);
+    s.upsert_document(doc).expect("name is unique");
+    let after_novel = check(&mut s, "revision with unseen names at 1");
+    assert!(
+        feature_names(&extractor, novel)
+            .iter()
+            .any(|n| !known.contains(n) && after_novel.vocab.get(n).is_some()),
+        "the unseen names reach the vocabulary"
+    );
+
+    // Position 2: a copy of a later document, all of whose names are known
+    // and some of which first occurred after position 2.
+    let front: BTreeSet<String> = (0..3)
+        .flat_map(|i| feature_names(&extractor, s.corpus().doc(DocId::from_usize(i))))
+        .collect();
+    let later = (3..s.corpus().len())
+        .map(|i| s.corpus().doc(DocId::from_usize(i)))
+        .find(|d| has_candidates(d) && !feature_names(&extractor, d).is_subset(&front))
+        .expect("some later document has names the front lacks")
+        .clone();
+    assert!(feature_names(&extractor, &later)
+        .iter()
+        .all(|n| after_novel.vocab.get(n).is_some()));
+    let doc = renamed(&later, 2, &s);
+    s.upsert_document(doc).expect("name is unique");
+    let after_copy = check(&mut s, "copy of a later document at 2");
+    assert!(
+        after_copy.vocab.len() <= after_novel.vocab.len(),
+        "a copy brings no new names"
+    );
+
+    s.remove_document(DocId::from_usize(3)).expect("in range");
+    check(&mut s, "removal at 3");
+    s.invalidate();
+    check(&mut s, "after invalidate()");
 }
 
 /// Mutations referencing unknown or ambiguous documents are typed errors.
